@@ -3,82 +3,41 @@
 Detects multi-word terminology entries in free text (tolerating typos,
 abbreviations and composed words) and assigns their codes; includes corpus
 ingestion, dictionary construction and a precision/recall harness.
+
+The package namespace holds what a library caller needs: build a
+dictionary, load abbreviations, annotate a line, score predictions, and
+the types and constants those calls take, return or raise. Every other
+name is importable from its own module.
 """
 
-from .annotator import (
-    Annotation,
-    MatchState,
-    TerminalHit,
-    advance_states,
-    annotate_line,
-    select_longest,
-)
+from .annotator import Annotation, annotate_line
 from .coder import (
     MODE_CORPUS_ONLY,
     MODE_CORPUS_PLUS_EXTERNAL,
     BuildReport,
-    CodeFrequencyTable,
     DictionaryBuildError,
     DictionarySpec,
     assemble_dictionary,
-    build_dictionary_from_corpus,
-    resolve_code,
-    tally_terms,
 )
-from .corpus import (
-    AnnotatedLine,
-    AnnotationRow,
-    CorpusFormat,
-    CorpusFormatError,
-    CorpusRecord,
-    EvalReport,
-    TermListFormat,
-    evaluate,
-    gold_code_tuples,
-    parse_aligned_causes,
-    predicted_code_tuples,
-    read_annotation_rows,
-    read_term_list,
-    write_annotations,
-)
+from .corpus import CorpusFormat, CorpusFormatError, EvalReport, TermListFormat, evaluate
 from .matcher import (
     DEFAULT_FUZZY_MIN_LENGTH,
     DEFAULT_MAX_DISTANCE,
     AbbreviationTable,
-    BigramIndex,
     MatchTechnique,
-    TokenMatch,
-    build_bigram_index,
-    default_abbreviations,
-    expand_abbreviation,
-    levenshtein_distance,
     load_abbreviations,
-    match_token,
 )
-from .normalize import (
-    NormalizationConfig,
-    TokenizedText,
-    default_stopwords,
-    is_stopword,
-    load_stopwords,
-    normalize_text,
-    tokenize,
-)
-from .trie import DictionaryTrie, Term, TrieNode, child_lookup, children_tokens
+from .normalize import NormalizationConfig
+from .trie import DictionaryTrie
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbbreviationTable",
-    "AnnotatedLine",
     "Annotation",
-    "AnnotationRow",
-    "BigramIndex",
     "BuildReport",
-    "CodeFrequencyTable",
     "CorpusFormat",
     "CorpusFormatError",
-    "CorpusRecord",
     "DEFAULT_FUZZY_MIN_LENGTH",
     "DEFAULT_MAX_DISTANCE",
     "DictionaryBuildError",
@@ -87,40 +46,11 @@ __all__ = [
     "EvalReport",
     "MODE_CORPUS_ONLY",
     "MODE_CORPUS_PLUS_EXTERNAL",
-    "MatchState",
     "MatchTechnique",
     "NormalizationConfig",
-    "Term",
     "TermListFormat",
-    "TerminalHit",
-    "TokenMatch",
-    "TokenizedText",
-    "TrieNode",
-    "advance_states",
     "annotate_line",
     "assemble_dictionary",
-    "build_bigram_index",
-    "build_dictionary_from_corpus",
-    "child_lookup",
-    "children_tokens",
-    "default_abbreviations",
-    "default_stopwords",
     "evaluate",
-    "expand_abbreviation",
-    "gold_code_tuples",
-    "is_stopword",
-    "levenshtein_distance",
     "load_abbreviations",
-    "load_stopwords",
-    "match_token",
-    "normalize_text",
-    "parse_aligned_causes",
-    "predicted_code_tuples",
-    "read_annotation_rows",
-    "read_term_list",
-    "resolve_code",
-    "select_longest",
-    "tally_terms",
-    "tokenize",
-    "write_annotations",
 ]

@@ -72,26 +72,13 @@ def advance_states(
     """Fork each state once per token match; states with no match die.
 
     A fresh root-anchored attempt is added at *token_index* (callers feed
-    only tokens not covered by a committed annotation), unless the pool
-    already holds an unadvanced root state for this index. Successors that
+    only tokens not covered by a committed annotation). Successors that
     land on a term node record it as their deepest terminal.
     """
-    candidates = list(states)
-    if not any(
-        st.node is trie.root and st.start_index == token_index and not st.techniques
-        for st in candidates
-    ):
-        candidates.append(MatchState(trie.root, token_index))
-
     successors: list[MatchState] = []
-    for state in candidates:
+    for state in [*states, MatchState(trie.root, token_index)]:
         for match in match_token(
-            input_token,
-            state.node,
-            abbrevs,
-            trie.bigram_index,
-            max_dist,
-            fuzzy_min_len=fuzzy_min_len,
+            input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
         ):
             techniques = state.techniques + (match.technique,)
             term = match.target_node.terminal

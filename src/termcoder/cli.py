@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .annotator import annotate_line
@@ -34,6 +32,23 @@ from .matcher import (
     load_abbreviations,
 )
 from .normalize import NormalizationConfig, load_stopwords
+
+logger = logging.getLogger(__name__)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than *low*."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
@@ -76,25 +91,25 @@ def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--col-term-code", default="code", help="term list code column (name or 0-based index)"
     )
+    group.add_argument("--stopwords", type=Path, help="stopword file (default: built-in list)")
 
 
 def _add_matching_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("matching")
-    group.add_argument("--stopwords", type=Path, help="stopword file (default: built-in list)")
     group.add_argument(
         "--abbreviations", type=Path, help="abbreviation file (default: built-in list)"
     )
     group.add_argument(
         "--max-dist",
-        type=int,
+        type=_int_at_least(0),
         default=DEFAULT_MAX_DISTANCE,
-        help="edit distance budget per token (0 disables fuzzy matching)",
+        help="edit distance budget per token, >= 0 (0 disables fuzzy matching)",
     )
     group.add_argument(
         "--fuzzy-min-len",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_FUZZY_MIN_LENGTH,
-        help="minimum input token length for edit-distance matching",
+        help="minimum input token length for edit-distance matching, >= 1",
     )
 
 
@@ -123,50 +138,55 @@ def _dictionary_spec(args: argparse.Namespace) -> DictionarySpec:
     )
 
 
-def _matching_config(args: argparse.Namespace):
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    cfg = NormalizationConfig(stopwords=stopwords) if stopwords is not None else NormalizationConfig()
-    if args.abbreviations:
-        abbrevs = load_abbreviations(args.abbreviations, cfg)
-    else:
-        abbrevs = default_abbreviations(cfg)
-    return cfg, abbrevs
+def _normalization(args: argparse.Namespace) -> NormalizationConfig:
+    if args.stopwords:
+        return NormalizationConfig(stopwords=load_stopwords(args.stopwords))
+    return NormalizationConfig()
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    cfg = NormalizationConfig(stopwords=stopwords) if stopwords is not None else NormalizationConfig()
-    _, report = assemble_dictionary(_dictionary_spec(args), cfg)
+    _, report = assemble_dictionary(_dictionary_spec(args), _normalization(args))
     print(report.summary())
     return 0
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    cfg, abbrevs = _matching_config(args)
+    cfg = _normalization(args)
+    if args.abbreviations:
+        abbrevs = load_abbreviations(args.abbreviations, cfg)
+    else:
+        abbrevs = default_abbreviations(cfg)
     trie, report = assemble_dictionary(_dictionary_spec(args), cfg)
-    logging.getLogger(__name__).info("dictionary ready: %s", report.summary())
+    logger.info("dictionary ready: %s", report.summary())
 
     fmt = _corpus_format(args)
-    records = parse_aligned_causes(args.input, fmt)
     lines: dict[tuple[str, str], str] = {}
-    for record in records:  # raw text repeats once per assigned code
-        lines.setdefault((record.doc_id, record.line_id), record.raw_text)
+    conflicts: dict[tuple[str, str], None] = {}
+    for record in parse_aligned_causes(args.input, fmt):  # raw text repeats once per code
+        key = (record.doc_id, record.line_id)
+        if lines.setdefault(key, record.raw_text) != record.raw_text:
+            conflicts[key] = None
+    if conflicts:
+        doc_id, line_id = next(iter(conflicts))
+        logger.warning(
+            "%d lines have rows with differing raw text (first: doc %s line %s); "
+            "annotating the first row's text",
+            len(conflicts),
+            doc_id,
+            line_id,
+        )
 
-    def annotate(item: tuple[tuple[str, str], str]) -> AnnotatedLine:
-        (doc_id, line_id), raw = item
-        anns = annotate_line(raw, trie, cfg, abbrevs, args.max_dist, args.fuzzy_min_len)
-        return AnnotatedLine(doc_id, line_id, raw, tuple(anns))
-
-    workers = args.workers or os.cpu_count() or 1
-    items = list(lines.items())
-    if workers <= 1:
-        results = [annotate(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(annotate, items))
-
+    results = [
+        AnnotatedLine(
+            doc_id,
+            line_id,
+            raw,
+            tuple(annotate_line(raw, trie, cfg, abbrevs, args.max_dist, args.fuzzy_min_len)),
+        )
+        for (doc_id, line_id), raw in lines.items()
+    ]
     count = write_annotations(results, args.output, fmt)
-    print(f"lines={len(items)} annotations={count}")
+    print(f"lines={len(results)} annotations={count}")
     return 0
 
 
@@ -191,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="build a dictionary and print its report")
     _add_format_options(build)
     _add_dictionary_options(build)
-    build.add_argument("--stopwords", type=Path, help="stopword file (default: built-in list)")
     build.set_defaults(func=cmd_build)
 
     annotate = sub.add_parser("annotate", help="annotate a corpus against a dictionary")
@@ -200,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matching_options(annotate)
     annotate.add_argument("--input", type=Path, required=True, help="corpus CSV to annotate")
     annotate.add_argument("--output", type=Path, required=True, help="annotation CSV to write")
-    annotate.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="annotation workers (default: number of processors); output order is fixed",
-    )
     annotate.set_defaults(func=cmd_annotate)
 
     evaluate_ = sub.add_parser("eval", help="score predictions against gold codes")

@@ -66,7 +66,7 @@ def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> l
     legal); rows missing document/line identity are skipped and counted in
     a warning. A configured column absent from the header is a hard error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, delimiter=fmt.delimiter)
         if reader.fieldnames is None:
             return []
@@ -97,7 +97,7 @@ def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> lis
     by_index = fmt.label_column.isdigit() and fmt.code_column.isdigit()
     pairs: list[tuple[str, str]] = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if by_index:
             label_at, code_at = int(fmt.label_column), int(fmt.code_column)
             for row in csv.reader(fh, delimiter=fmt.delimiter):
@@ -239,7 +239,7 @@ def read_annotation_rows(
     path: PathArg, fmt: CorpusFormat = CorpusFormat()
 ) -> list[AnnotationRow]:
     """Read back an annotation CSV written by :func:`write_annotations`."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, delimiter=fmt.delimiter)
         if reader.fieldnames is None:
             return []

@@ -17,7 +17,7 @@ from os import PathLike
 from typing import Iterable
 
 from .normalize import NormalizationConfig, normalize_text, tokenize
-from .trie import DictionaryTrie, TrieNode, child_lookup
+from .trie import TrieNode
 
 DEFAULT_MAX_DISTANCE = 1
 DEFAULT_FUZZY_MIN_LENGTH = 5
@@ -117,11 +117,6 @@ def default_abbreviations(cfg: NormalizationConfig | None = None) -> Abbreviatio
     return _default_abbreviations(cfg or NormalizationConfig())
 
 
-def expand_abbreviation(token: str, abbrevs: AbbreviationTable) -> list[tuple[str, ...]]:
-    """All expansions of *token*; empty when it is not a known short form."""
-    return list(abbrevs.expansions(token))
-
-
 def levenshtein_distance(a: str, b: str) -> int:
     """Exact single-character edit distance (insertions, deletions, substitutions)."""
     if a == b:
@@ -141,32 +136,6 @@ def levenshtein_distance(a: str, b: str) -> int:
 
 
 @dataclass(frozen=True)
-class BigramIndex:
-    """Consecutive dictionary-token pairs keyed by their concatenation."""
-
-    pairs: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
-
-    def lookup(self, joined: str) -> tuple[tuple[str, str], ...]:
-        return self.pairs.get(joined, ())
-
-    def contains(self, first: str, second: str) -> bool:
-        return (first, second) in self.pairs.get(first + second, ())
-
-
-def build_bigram_index(trie: DictionaryTrie) -> BigramIndex:
-    """Index every consecutive token pair found on a root-to-terminal path."""
-    found: dict[str, set[tuple[str, str]]] = {}
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        for token, child in node.children.items():
-            if node.token is not None:
-                found.setdefault(node.token + token, set()).add((node.token, token))
-            stack.append(child)
-    return BigramIndex({key: tuple(sorted(found[key])) for key in sorted(found)})
-
-
-@dataclass(frozen=True)
 class TokenMatch:
     """One way an input token can advance from the current node.
 
@@ -180,15 +149,10 @@ class TokenMatch:
     target_node: TrieNode
 
 
-def _sorted_children(node: TrieNode) -> tuple[str, ...]:
-    return node.sorted_tokens if node.sorted_tokens else tuple(sorted(node.children))
-
-
 def match_token(
     input_token: str,
     node: TrieNode,
     abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
-    bigrams: BigramIndex | None = None,
     max_dist: int = DEFAULT_MAX_DISTANCE,
     *,
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
@@ -199,10 +163,13 @@ def match_token(
     expansion walked through the trie by perfect steps; edit distance
     <= *max_dist* to a child token (inputs shorter than *fuzzy_min_len*
     are excluded); edit distance <= *max_dist* to the concatenation of a
-    child + grandchild pair (composed words). Both distance-based
-    techniques are off when *max_dist* is 0, so only perfect and
-    abbreviation matches remain. Each target node is reported once, under
-    its strongest technique.
+    child + grandchild pair (composed words, whatever the input length).
+    Both distance-based techniques are off when *max_dist* is 0, so only
+    perfect and abbreviation matches remain. Each target node is reported
+    once, under its strongest technique.
+
+    *node* must belong to a frozen trie: the distance-based scans walk its
+    ``sorted_tokens``, which fixes the order of the result.
     """
     found: dict[int, TokenMatch] = {}
 
@@ -211,34 +178,31 @@ def match_token(
         if key not in found:  # generation order is priority order
             found[key] = TokenMatch(technique, consumed, target)
 
-    child = child_lookup(node, input_token)
+    child = node.children.get(input_token)
     if child is not None:
         offer(MatchTechnique.PERFECT, 1, child)
 
     for expansion in abbrevs.expansions(input_token):
         target: TrieNode | None = node
         for token in expansion:
-            target = child_lookup(target, token)
+            target = target.children.get(token)
             if target is None:
                 break
         else:
             offer(MatchTechnique.ABBREVIATION, len(expansion), target)
 
     if max_dist > 0:
-        tokens_here = _sorted_children(node)
         if len(input_token) >= fuzzy_min_len:
-            for token in tokens_here:
+            for token in node.sorted_tokens:
                 if token == input_token or abs(len(token) - len(input_token)) > max_dist:
                     continue
                 if levenshtein_distance(input_token, token) <= max_dist:
                     offer(MatchTechnique.LEVENSHTEIN, 1, node.children[token])
-        for first in tokens_here:
+        for first in node.sorted_tokens:
             mid = node.children[first]
-            for second in _sorted_children(mid):
+            for second in mid.sorted_tokens:
                 joined = first + second
                 if abs(len(joined) - len(input_token)) > max_dist:
-                    continue
-                if bigrams is not None and not bigrams.contains(first, second):
                     continue
                 if levenshtein_distance(input_token, joined) <= max_dist:
                     offer(MatchTechnique.BIGRAM_LEVENSHTEIN, 2, mid.children[second])

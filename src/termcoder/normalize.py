@@ -11,16 +11,12 @@ report raw-text spans.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from os import PathLike
 from typing import Iterable
-
-# Token characters: Unicode letters and digits (underscore excluded).
-TOKEN_CHAR_PATTERN = r"[^\W_]"
 
 _STOPWORDS_RESOURCE = "stopwords_fr.txt"
 
@@ -76,7 +72,6 @@ class NormalizationConfig:
     """Tokenizer settings shared by dictionary construction and annotation."""
 
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
-    token_pattern: str = TOKEN_CHAR_PATTERN
 
 
 @dataclass(frozen=True)
@@ -88,15 +83,9 @@ class TokenizedText:
     offsets: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=None)
-def _token_char_test(pattern: str):
-    return re.compile(pattern).fullmatch
-
-
 def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
     """Split *raw* into normalized, stopword-free tokens with raw-text offsets."""
     cfg = cfg or NormalizationConfig()
-    is_token_char = _token_char_test(cfg.token_pattern)
     tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
     parts: list[str] = []
@@ -114,7 +103,7 @@ def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
         frag = _char_fragment(ch)
         if not frag:
             continue  # a bare combining mark never breaks a token
-        if all(is_token_char(c) for c in frag):
+        if frag.isalnum():  # fragments hold only alphanumerics and whitespace
             if not parts:
                 start = i
             parts.append(frag)
@@ -123,9 +112,3 @@ def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
             flush()
     flush()
     return TokenizedText(raw, tuple(tokens), tuple(offsets))
-
-
-def is_stopword(token: str, cfg: NormalizationConfig | None = None) -> bool:
-    """True iff *token* (already normalized) is a configured stopword."""
-    cfg = cfg or NormalizationConfig()
-    return token in cfg.stopwords

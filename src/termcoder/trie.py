@@ -42,7 +42,6 @@ class DictionaryTrie:
     def __init__(self) -> None:
         self.root = TrieNode()
         self.term_count = 0
-        self.bigram_index = None  # built by freeze()
         self._frozen = False
 
     @property
@@ -65,14 +64,16 @@ class DictionaryTrie:
         return self
 
     def freeze(self) -> "DictionaryTrie":
-        """Build the bigram index and lock the trie for concurrent matching."""
-        if not self._frozen:
-            from .matcher import build_bigram_index
+        """Sort every node's child tokens and lock the trie against inserts.
 
+        Matching scans children in ``sorted_tokens`` order, so tie order does
+        not depend on insertion order; a frozen trie is never mutated and can
+        be shared by concurrent readers.
+        """
+        if not self._frozen:
             for node in self.iter_nodes():
                 node.sorted_tokens = tuple(sorted(node.children))
             self._frozen = True
-            self.bigram_index = build_bigram_index(self)
         return self
 
     def iter_nodes(self) -> Iterator[TrieNode]:
@@ -98,13 +99,3 @@ class DictionaryTrie:
             if node is None:
                 return None
         return node
-
-
-def child_lookup(node: TrieNode, token: str) -> TrieNode | None:
-    """The direct child reached by *token*, if any; never searches deeper."""
-    return node.children.get(token)
-
-
-def children_tokens(node: TrieNode) -> set[str]:
-    """Candidate dictionary tokens available at this tree position."""
-    return set(node.children)

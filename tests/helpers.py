@@ -1,6 +1,7 @@
 """Shared fixtures and reference implementations for the test suite."""
 
-from termcoder import DictionaryTrie, NormalizationConfig, Term
+from termcoder import DictionaryTrie, MatchTechnique, NormalizationConfig
+from termcoder.trie import Term
 
 # Synthetic dictionaries use short tokens; keep stopword removal out of the way.
 NO_STOPWORDS = NormalizationConfig(stopwords=frozenset())
@@ -75,3 +76,42 @@ def edit_distance_reference(a: str, b: str) -> int:
                 dist[i - 1][j - 1] + cost,
             )
     return dist[-1][-1]
+
+
+def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_len):
+    """Brute-force match_token from the node at *path*, as a set of
+    (technique, tokens consumed, target path) triples.
+
+    Plain dict walks over children and grandchildren with the reference
+    edit distance and no length filters; each target keeps its strongest
+    technique. The differential test compares the library against it.
+    """
+    node = trie.root
+    for token in path:
+        node = node.children[token]
+    found = []
+    if input_token in node.children:
+        found.append((MatchTechnique.PERFECT, 1, path + (input_token,)))
+    for expansion in abbrevs.entries.get(input_token, ()):
+        target = node
+        for token in expansion:
+            target = target.children.get(token)
+            if target is None:
+                break
+        else:
+            found.append((MatchTechnique.ABBREVIATION, len(expansion), path + expansion))
+    if max_dist > 0:
+        for first, child in node.children.items():
+            if (
+                len(input_token) >= fuzzy_min_len
+                and edit_distance_reference(input_token, first) <= max_dist
+            ):
+                found.append((MatchTechnique.LEVENSHTEIN, 1, path + (first,)))
+            for second in child.children:
+                if edit_distance_reference(input_token, first + second) <= max_dist:
+                    found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, 2, path + (first, second)))
+    strongest = {}
+    for technique, consumed, target in found:
+        if target not in strongest or technique < strongest[target][0]:
+            strongest[target] = (technique, consumed)
+    return {(technique, consumed, target) for target, (technique, consumed) in strongest.items()}

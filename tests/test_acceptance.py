@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 
 from termcoder import (
     AbbreviationTable,
-    CorpusRecord,
     DictionaryTrie,
     MatchTechnique,
-    Term,
     annotate_line,
-    build_dictionary_from_corpus,
-    default_stopwords,
     evaluate,
-    levenshtein_distance,
-    normalize_text,
-    resolve_code,
 )
 from termcoder.cli import main
+from termcoder.coder import build_dictionary_from_corpus, resolve_code
+from termcoder.corpus import CorpusRecord
+from termcoder.matcher import levenshtein_distance
+from termcoder.normalize import default_stopwords, normalize_text
+from termcoder.trie import Term
 
 from helpers import (
     NO_STOPWORDS,

@@ -4,21 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termcoder import (
-    AbbreviationTable,
-    DictionaryTrie,
+from termcoder.annotator import (
     MatchState,
-    MatchTechnique,
-    Term,
     TerminalHit,
     advance_states,
     annotate_line,
-    default_abbreviations,
-    expand_abbreviation,
-    levenshtein_distance,
     select_longest,
-    tokenize,
 )
+from termcoder.matcher import (
+    AbbreviationTable,
+    MatchTechnique,
+    default_abbreviations,
+    levenshtein_distance,
+)
+from termcoder.trie import DictionaryTrie, Term
 
 from helpers import (
     NO_STOPWORDS,
@@ -55,7 +54,7 @@ def assert_annotation_sound(annotation, trie, abbrevs, max_dist, fuzzy_min_len=5
             assert levenshtein_distance(input_token, joined) <= max_dist
             at += 2
         else:
-            expansions = expand_abbreviation(input_token, abbrevs)
+            expansions = abbrevs.expansions(input_token)
             step = [e for e in expansions if tuple(term_path[at : at + len(e)]) == e]
             assert step, "abbreviation expansion does not walk the term path"
             at += len(step[0])
@@ -157,17 +156,9 @@ class TestScanningBehavior:
 
 
 class TestAdvanceStates:
-    def test_existing_root_state_is_not_duplicated(self):
-        trie = heart_trie()
-        states = [MatchState(trie.root, 0)]
-        successors = advance_states(states, "insuffisance", 0, trie=trie)
-        assert len(successors) == 1
-        assert successors[0].node.token == "insuffisance"
-        assert successors[0].last_terminal is None
-
     def test_forks_once_per_match(self):
         trie = composed_trie()
-        successors = advance_states([MatchState(trie.root, 0)], "meningoencephalite", 0, trie=trie)
+        successors = advance_states([], "meningoencephalite", 0, trie=trie)
         assert len(successors) == 2
         assert {s.node.token for s in successors} == {"meningoencephalite", "encephalite"}
 
@@ -176,6 +167,8 @@ class TestAdvanceStates:
         successors = advance_states([], "insuffisance", 3, trie=trie)
         assert len(successors) == 1
         assert successors[0].start_index == 3
+        assert successors[0].node.token == "insuffisance"
+        assert successors[0].last_terminal is None
 
     def test_states_with_no_match_die(self):
         trie = heart_trie()

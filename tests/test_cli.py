@@ -1,9 +1,11 @@
 import json
+import logging
 
 import pytest
 
-from termcoder import evaluate, gold_code_tuples, parse_aligned_causes, predicted_code_tuples, read_annotation_rows
+from termcoder import evaluate
 from termcoder.cli import main
+from termcoder.corpus import gold_code_tuples, parse_aligned_causes, predicted_code_tuples, read_annotation_rows
 
 HEADER = "DocID;LineID;RawText;StandardText;ICD10"
 
@@ -39,6 +41,15 @@ class TestBuild:
         out = capsys.readouterr().out
         assert "terms=3 codes=3" in out
         assert "conflicts=0 skipped=0" in out
+
+    def test_byte_order_mark_header(self, tmp_path, capsys):
+        corpus = tmp_path / "bom.csv"
+        corpus.write_text(
+            "\ufeff" + "\n".join([HEADER, "d1;1;AVC;avc;I640", "d2;1;ASTHME;asthme;J459"]) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["build", "--corpus", str(corpus)]) == 0
+        assert "terms=2 codes=2 conflicts=0 skipped=0" in capsys.readouterr().out
 
     def test_no_sources_fails(self, capsys):
         assert main(["build"]) == 1
@@ -129,36 +140,6 @@ class TestAnnotate:
         rows = read_annotation_rows(out_file)
         assert [r.term_label for r in rows] == ["meningo encephalite virale"]
 
-    def test_worker_count_does_not_change_output(self, tmp_path, heart_corpus):
-        test_file = tmp_path / "test.csv"
-        write_rows(
-            test_file,
-            [
-                "doc1;1;INS CARDIAQU AIGUE;;",
-                "doc1;2;INSUFFISANCE RESPIRATOIRE;;",
-                "doc2;1;RIEN A SIGNALER;;",
-                "doc2;2;INSUFFISANCE CARDIAQUE CONGESTIVE;;",
-            ],
-        )
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        for out, workers in ((serial, "1"), (threaded, "3")):
-            rc = main(
-                [
-                    "annotate",
-                    "--corpus",
-                    str(heart_corpus),
-                    "--input",
-                    str(test_file),
-                    "--output",
-                    str(out),
-                    "--workers",
-                    workers,
-                ]
-            )
-            assert rc == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_custom_stopwords_and_abbreviations(self, tmp_path, capsys):
         corpus = tmp_path / "train.csv"
         write_rows(corpus, ["t1;1;FRACTURE HANCHE;fracture de la hanche;S720"])
@@ -208,6 +189,56 @@ class TestAnnotate:
         )
         assert rc == 0
         assert read_annotation_rows(out_file) == []
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-dist", "-3"), ("--max-dist", "x"), ("--fuzzy-min-len", "0")]
+    )
+    def test_out_of_range_flag_rejected_at_parse_time(self, tmp_path, heart_corpus, capsys, flag, value):
+        argv = ["annotate", "--corpus", str(heart_corpus), "--input", str(heart_corpus)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / "pred.csv"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def _annotate_rows(self, tmp_path, heart_corpus, rows):
+        test_file = tmp_path / "test.csv"
+        write_rows(test_file, rows)
+        out_file = tmp_path / "pred.csv"
+        argv = ["annotate", "--corpus", str(heart_corpus), "--input", str(test_file)]
+        assert main([*argv, "--output", str(out_file)]) == 0
+        return read_annotation_rows(out_file)
+
+    def test_conflicting_raw_text_warns_and_first_row_wins(self, tmp_path, heart_corpus, caplog):
+        rows = [
+            "d1;1;INSUFFISANCE CARDIAQUE;insuffisance cardiaque;I50",
+            "d1;1;INSUFFISANCE RESPIRATOIRE;insuffisance respiratoire;J969",
+            "d1;1;INSUFFISANCE RESPIRATOIRE AIGUE;insuffisance respiratoire aigue;J960",
+            "d2;1;INSUFFISANCE CARDIAQUE;insuffisance cardiaque;I50",
+            "d2;2;INSUFFISANCE CARDIAQUE AIGUE;insuffisance cardiaque aigue;I509",
+            "d2;2;INSUFFISANCE CARDIAQUE;insuffisance cardiaque;I50",
+        ]
+        with caplog.at_level(logging.WARNING, logger="termcoder.cli"):
+            got = self._annotate_rows(tmp_path, heart_corpus, rows)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("2 lines have rows with differing raw text")
+        assert "first: doc d1 line 1" in warnings[0]
+        assert [(r.doc_id, r.line_id, r.code) for r in got] == [
+            ("d1", "1", "I50"),
+            ("d2", "1", "I50"),
+            ("d2", "2", "I509"),
+        ]
+
+    def test_raw_text_repeated_once_per_code_warns_nothing(self, tmp_path, heart_corpus, caplog):
+        rows = [
+            "d1;1;INSUFFISANCE CARDIAQUE ET RESPIRATOIRE;insuffisance cardiaque;I50",
+            "d1;1;INSUFFISANCE CARDIAQUE ET RESPIRATOIRE;insuffisance respiratoire;J969",
+        ]
+        with caplog.at_level(logging.WARNING, logger="termcoder.cli"):
+            got = self._annotate_rows(tmp_path, heart_corpus, rows)
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert [r.code for r in got] == ["I50"]
 
 
 class TestEval:

@@ -3,15 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from termcoder import (
-    CorpusRecord,
+    MODE_CORPUS_PLUS_EXTERNAL,
     DictionaryBuildError,
     DictionarySpec,
-    MODE_CORPUS_PLUS_EXTERNAL,
     NormalizationConfig,
     assemble_dictionary,
-    build_dictionary_from_corpus,
-    resolve_code,
 )
+from termcoder.coder import build_dictionary_from_corpus, resolve_code
+from termcoder.corpus import CorpusRecord
 
 
 def record(standard, code, doc="d1", line="1"):
@@ -156,12 +155,13 @@ class TestAssemble:
         with pytest.raises(DictionaryBuildError, match="unknown mode"):
             assemble_dictionary(DictionarySpec(corpus_sources=(corpus,), mode="other"))
 
-    def test_trie_is_frozen_with_bigram_index(self, tmp_path):
+    def test_trie_is_frozen_with_sorted_children(self, tmp_path):
         corpus = tmp_path / "train.csv"
         write_corpus(corpus, [("insuffisance cardiaque", "I50")])
         trie, _ = assemble_dictionary(DictionarySpec(corpus_sources=(corpus,)))
         assert trie.frozen
-        assert trie.bigram_index.contains("insuffisance", "cardiaque")
+        assert trie.root.sorted_tokens == ("insuffisance",)
+        assert trie.root.children["insuffisance"].sorted_tokens == ("cardiaque",)
 
     def test_rebuild_is_deterministic(self, tmp_path):
         corpus = tmp_path / "train.csv"

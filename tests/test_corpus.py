@@ -5,14 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from termcoder import (
-    AnnotatedLine,
     Annotation,
     CorpusFormat,
     CorpusFormatError,
-    CorpusRecord,
     MatchTechnique,
     TermListFormat,
     evaluate,
+)
+from termcoder.corpus import (
+    AnnotatedLine,
+    CorpusRecord,
     gold_code_tuples,
     parse_aligned_causes,
     predicted_code_tuples,

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termcoder import (
+from termcoder.normalize import (
     NormalizationConfig,
     default_stopwords,
-    is_stopword,
     load_stopwords,
     normalize_text,
     tokenize,
@@ -96,6 +95,10 @@ class TestTokenize:
         got = tokenize("grabatisation 2 mois")
         assert got.tokens == ("grabatisation", "2", "mois")
 
+    def test_underscore_and_symbols_split_tokens(self):
+        got = tokenize("avc_massif² x·y ①", NormalizationConfig(stopwords=frozenset()))
+        assert got.tokens == ("avc", "massif²", "x", "y", "①")
+
     @given(st.text(max_size=60))
     def test_offsets_are_valid_and_consistent(self, raw):
         got = tokenize(raw)
@@ -122,9 +125,10 @@ class TestStopwords:
             assert normalize_text(word) == word
 
     def test_is_stopword(self):
-        assert is_stopword("de")
-        assert not is_stopword("")
-        assert not is_stopword("cardiaque")
+        stopwords = NormalizationConfig().stopwords
+        assert "de" in stopwords
+        assert "" not in stopwords
+        assert "cardiaque" not in stopwords
 
     def test_load_stopwords_normalizes_and_skips_comments(self, tmp_path):
         path = tmp_path / "stop.txt"

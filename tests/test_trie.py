@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termcoder import DictionaryTrie, Term, child_lookup, children_tokens
+from termcoder.trie import DictionaryTrie, Term
 
 from helpers import heart_trie
 
@@ -46,20 +46,22 @@ class TestInsert:
 class TestLookups:
     def test_child_lookup_depends_on_position(self):
         trie = heart_trie()
-        assert child_lookup(trie.root, "cardiaque") is None
-        node = child_lookup(trie.root, "insuffisance")
-        assert child_lookup(node, "cardiaque") is not None
+        assert trie.root.children.get("cardiaque") is None
+        node = trie.root.children.get("insuffisance")
+        assert node.children.get("cardiaque") is not None
 
     def test_child_lookup_empty_token(self):
-        assert child_lookup(heart_trie().root, "") is None
+        assert heart_trie().root.children.get("") is None
 
     def test_children_tokens(self):
         trie = heart_trie()
-        assert children_tokens(trie.root) == {"insuffisance"}
+        assert set(trie.root.children) == {"insuffisance"}
         node = trie.root.children["insuffisance"]
-        assert children_tokens(node) == {"cardiaque", "respiratoire"}
+        assert set(node.children) == {"cardiaque", "respiratoire"}
+        assert node.sorted_tokens == ("cardiaque", "respiratoire")
         leaf = trie.lookup_path(("insuffisance", "cardiaque", "aigue"))
-        assert children_tokens(leaf) == set()
+        assert set(leaf.children) == set()
+        assert leaf.sorted_tokens == ()
 
 
 class TestCounts:
