@@ -5,6 +5,14 @@ node (what could legally come next), never against the whole vocabulary:
 perfect equality, abbreviation expansion, bounded edit distance, and
 composed words (one input token vs. the concatenation of two consecutive
 dictionary tokens).
+
+Both distance-based techniques come from one walk over the child tokens.
+Each child's edit-distance row against the input token is extended one
+character at a time, only within the *max_dist* band around the
+diagonal, and is then carried on through every grandchild; a row whose
+band lies wholly past *max_dist* is dropped together with all of its
+grandchildren. ``levenshtein_distance`` is kept as the standalone
+distance between two strings; matching does not call it.
 """
 
 from __future__ import annotations
@@ -135,6 +143,50 @@ def levenshtein_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
+def _extend_row(
+    row: list[int], depth: int, chars: str, word: str, max_dist: int
+) -> list[int] | None:
+    """Continue an edit-distance row of *word* through *chars*.
+
+    ``row[j]`` is the distance between ``word[:j]`` and the *depth*
+    characters read so far. Only the cells within *max_dist* of the
+    diagonal are computed (Ukkonen 1985); every other cell holds some
+    value above *max_dist*, and any such value means "too far". Returns
+    the row after the last of *chars*, or None as soon as every cell is
+    too far: no continuation of what was read can come back within
+    *max_dist*.
+    """
+    n = len(word)
+    over = max_dist + 1
+    i = depth
+    for ch in chars:
+        i += 1
+        new = [over] * (n + 1)
+        lo = i - max_dist
+        if lo > 0:
+            left = over
+        else:
+            new[0] = left = i
+            lo = 1
+        hi = i + max_dist
+        if hi > n:
+            hi = n
+        diag = row[lo - 1]
+        for j in range(lo, hi + 1):
+            up = row[j]
+            cost = diag if word[j - 1] == ch else diag + 1
+            if up < cost:
+                cost = up + 1
+            if left < cost:
+                cost = left + 1
+            new[j] = left = cost
+            diag = up
+        if min(new) > max_dist:
+            return None
+        row = new
+    return row
+
+
 @dataclass(frozen=True)
 class TokenMatch:
     """One way an input token can advance from the current node.
@@ -168,8 +220,17 @@ def match_token(
     perfect and abbreviation matches remain. Each target node is reported
     once, under its strongest technique.
 
-    *node* must belong to a frozen trie: the distance-based scans walk its
-    ``sorted_tokens``, which fixes the order of the result.
+    Fuzzy candidates come from one walk over ``node.sorted_tokens``: each
+    child token's banded edit-distance row (see ``_extend_row``) decides
+    the child itself and is then carried on through each of its
+    grandchildren, so it is computed once however many follow. A child
+    whose row exceeds *max_dist* in every cell is dropped with all of its
+    grandchildren.
+
+    *node* must belong to a frozen trie: the walk follows its
+    ``sorted_tokens``, which fixes the order of the result: perfect,
+    abbreviations, then child matches in token order, then composed
+    matches in (child, grandchild) order.
     """
     found: dict[int, TokenMatch] = {}
 
@@ -192,19 +253,27 @@ def match_token(
             offer(MatchTechnique.ABBREVIATION, len(expansion), target)
 
     if max_dist > 0:
-        if len(input_token) >= fuzzy_min_len:
-            for token in node.sorted_tokens:
-                if token == input_token or abs(len(token) - len(input_token)) > max_dist:
-                    continue
-                if levenshtein_distance(input_token, token) <= max_dist:
-                    offer(MatchTechnique.LEVENSHTEIN, 1, node.children[token])
+        n = len(input_token)
+        near: list[TrieNode] = []
+        composed: list[TrieNode] = []
+        start = list(range(n + 1))
         for first in node.sorted_tokens:
+            if len(first) > n + max_dist:  # too long, and so is every first + second
+                continue
+            row = _extend_row(start, 0, first, input_token, max_dist)
+            if row is None:
+                continue
             mid = node.children[first]
+            if row[n] <= max_dist and n >= fuzzy_min_len and first != input_token:
+                near.append(mid)
             for second in mid.sorted_tokens:
-                joined = first + second
-                if abs(len(joined) - len(input_token)) > max_dist:
-                    continue
-                if levenshtein_distance(input_token, joined) <= max_dist:
-                    offer(MatchTechnique.BIGRAM_LEVENSHTEIN, 2, mid.children[second])
+                if abs(len(first) + len(second) - n) <= max_dist:  # else row[n] is out of the band
+                    last = _extend_row(row, len(first), second, input_token, max_dist)
+                    if last is not None and last[n] <= max_dist:
+                        composed.append(mid.children[second])
+        for target in near:
+            offer(MatchTechnique.LEVENSHTEIN, 1, target)
+        for target in composed:
+            offer(MatchTechnique.BIGRAM_LEVENSHTEIN, 2, target)
 
     return list(found.values())

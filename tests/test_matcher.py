@@ -96,13 +96,19 @@ class TestMatchToken:
 
     def test_unigram_and_bigram_paths_both_found(self):
         trie = composed_trie()
-        matches = match_token("meningoencephalite", trie.root)
-        techniques = {m.technique for m in matches}
-        assert techniques == {MatchTechnique.PERFECT, MatchTechnique.BIGRAM_LEVENSHTEIN}
-        by_technique = {m.technique: m for m in matches}
-        assert by_technique[MatchTechnique.PERFECT].target_node.token == "meningoencephalite"
-        assert by_technique[MatchTechnique.BIGRAM_LEVENSHTEIN].target_node.token == "encephalite"
-        assert by_technique[MatchTechnique.BIGRAM_LEVENSHTEIN].consumed_dict_tokens == 2
+        # The misspellings edit the meningo|encephalite join, where the
+        # composed-word scan moves from the first token to the second.
+        for probe, unigram in (
+            ("meningoencephalite", MatchTechnique.PERFECT),
+            ("meningencephalite", MatchTechnique.LEVENSHTEIN),  # deletion
+            ("meningoxencephalite", MatchTechnique.LEVENSHTEIN),  # insertion
+            ("meningaencephalite", MatchTechnique.LEVENSHTEIN),  # substitution
+        ):
+            matches = match_token(probe, trie.root)
+            assert [m.technique for m in matches] == [unigram, MatchTechnique.BIGRAM_LEVENSHTEIN], probe
+            assert matches[0].target_node.token == "meningoencephalite"
+            assert matches[1].target_node.token == "encephalite"
+            assert matches[1].consumed_dict_tokens == 2
 
     def test_no_match(self):
         trie = heart_trie()
@@ -252,10 +258,17 @@ def test_match_token_equals_brute_force_reference(case):
     for path, node in nodes:
         nodes.extend((path + (token,), child) for token, child in node.children.items())
     paths = {id(node): path for path, node in nodes}
-    for max_dist in (0, 1, 2):
+    # At max_dist 3 the band is wider than the 2-5-letter tokens.
+    for max_dist in (0, 1, 2, 3):
         for path, node in nodes:
             for probe in probes:
                 got = match_token(probe, node, table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
-                as_set = {(m.technique, m.consumed_dict_tokens, paths[id(m.target_node)]) for m in got}
-                assert len(as_set) == len(got)
-                assert as_set == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
+                as_list = [(m.technique, m.consumed_dict_tokens, paths[id(m.target_node)]) for m in got]
+                assert len(set(as_list)) == len(got)
+                assert set(as_list) == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
+                # The order is part of the result: select_longest keeps the first of equal keys.
+                techniques = [technique for technique, _, _ in as_list]
+                assert techniques == sorted(techniques)
+                for fuzzy in (MatchTechnique.LEVENSHTEIN, MatchTechnique.BIGRAM_LEVENSHTEIN):
+                    targets = [target for technique, _, target in as_list if technique is fuzzy]
+                    assert targets == sorted(targets)
