@@ -1,17 +1,16 @@
 """Longest-match annotation over a frozen dictionary trie.
 
-The engine scans a line token by token while keeping a pool of live
-traversal states. Every uncovered token also starts a fresh attempt from
-the trie root, so a failed partial match never hides a term that begins
-one token later. When every state sharing a start token is exhausted, the
-deepest term node any of them passed is committed; scanning then continues
-after the committed span. The result is a deterministic, non-overlapping,
-leftmost-longest annotation list.
+The engine resolves one start token at a time, leftmost first. From the
+trie root it advances a pool of traversal states through the following
+tokens, forking a state once per way a token can match, until no state
+survives or the line ends. The deepest term node any of those states
+passed is committed, and the scan goes on after the committed span; if
+none was passed, it goes on at the next token. The result is a
+deterministic, non-overlapping, leftmost-longest annotation list.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .matcher import (
@@ -28,7 +27,7 @@ from .trie import DictionaryTrie, Term, TrieNode
 
 @dataclass(frozen=True)
 class TerminalHit:
-    """Deepest term node a state has passed, with its consumed-token span."""
+    """Deepest term a state has passed, the index of its last input token, the trail."""
 
     end_index: int
     term: Term
@@ -37,10 +36,9 @@ class TerminalHit:
 
 @dataclass(frozen=True)
 class MatchState:
-    """A live traversal position: trie node, consumed input span, technique trail."""
+    """A live traversal position: trie node, technique trail, deepest terminal."""
 
     node: TrieNode
-    start_index: int
     techniques: tuple[MatchTechnique, ...] = ()
     last_terminal: TerminalHit | None = None
 
@@ -64,19 +62,19 @@ def advance_states(
     input_token: str,
     token_index: int,
     *,
-    trie: DictionaryTrie,
     abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
     max_dist: int = DEFAULT_MAX_DISTANCE,
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
 ) -> list[MatchState]:
-    """Fork each state once per token match; states with no match die.
+    """Advance every state across *input_token*, the token at *token_index*.
 
-    A fresh root-anchored attempt is added at *token_index* (callers feed
-    only tokens not covered by a committed annotation). Successors that
-    land on a term node record it as their deepest terminal.
+    Each state forks once per way the token matches from its node, in
+    ``match_token`` order; a state with no match dies. Successors that land
+    on a term node record it, ending at *token_index*, as their deepest
+    terminal.
     """
     successors: list[MatchState] = []
-    for state in [*states, MatchState(trie.root, token_index)]:
+    for state in states:
         for match in match_token(
             input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
         ):
@@ -87,9 +85,7 @@ def advance_states(
                 if term is not None
                 else state.last_terminal
             )
-            successors.append(
-                MatchState(match.target_node, state.start_index, techniques, hit)
-            )
+            successors.append(MatchState(match.target_node, techniques, hit))
     return successors
 
 
@@ -121,11 +117,14 @@ def annotate_line(
 ) -> list[Annotation]:
     """Detect dictionary terms in *raw* and return ordered annotations.
 
-    Greedy leftmost-longest: each start token is resolved to the longest
-    term reachable from it (across all forked states), committed spans
-    never overlap, and no backtracking trades a resolved match for a
-    longer one further right. Purely functional over shared inputs, so
-    lines can be annotated concurrently against one frozen trie.
+    Greedy leftmost-longest: from each start token, every state that
+    ``advance_states`` reaches is gathered until the pool empties or the
+    line ends, and ``select_longest`` picks the term to commit. The scan
+    then resumes after that term, or at the next token when there is none,
+    so tokens inside a committed span never start a search, and no
+    backtracking trades a committed match for a longer one further right.
+    Purely functional over shared inputs, so lines can be annotated
+    concurrently against one frozen trie.
     """
     if not trie.frozen:
         raise ValueError("dictionary trie must be frozen before annotation")
@@ -133,11 +132,26 @@ def annotate_line(
     tokens, offsets = text.tokens, text.offsets
 
     annotations: list[Annotation] = []
-    live: list[MatchState] = []
-    spawned: dict[int, list[MatchState]] = {}
-    pending: deque[int] = deque()
-
-    def emit(start: int, hit: TerminalHit) -> None:
+    start = 0
+    while start < len(tokens):
+        states = [MatchState(trie.root)]
+        reached: list[MatchState] = []
+        for index in range(start, len(tokens)):
+            states = advance_states(
+                states,
+                tokens[index],
+                index,
+                abbrevs=abbrevs,
+                max_dist=max_dist,
+                fuzzy_min_len=fuzzy_min_len,
+            )
+            if not states:
+                break
+            reached.extend(states)
+        hit = select_longest(reached)
+        if hit is None:
+            start += 1
+            continue
         end = hit.end_index
         annotations.append(
             Annotation(
@@ -145,45 +159,11 @@ def annotate_line(
                 end_char=offsets[end][1],
                 start_token=start,
                 end_token=end,
-                matched_tokens=tuple(tokens[start : end + 1]),
+                matched_tokens=tokens[start : end + 1],
                 term_label=hit.term.label,
                 code=hit.term.code,
                 techniques=hit.techniques,
             )
         )
-
-    def resolve_exhausted() -> None:
-        # Commit (or drop) pending start tokens, leftmost first, once no
-        # live state can extend them any further.
-        nonlocal live
-        while pending:
-            start = pending[0]
-            if any(state.start_index == start for state in live):
-                break
-            pending.popleft()
-            hit = select_longest(spawned.pop(start, []))
-            if hit is None:
-                continue
-            emit(start, hit)
-            while pending and pending[0] <= hit.end_index:
-                spawned.pop(pending.popleft(), None)
-            live = [state for state in live if state.start_index > hit.end_index]
-
-    for index, token in enumerate(tokens):
-        live = advance_states(
-            live,
-            token,
-            index,
-            trie=trie,
-            abbrevs=abbrevs,
-            max_dist=max_dist,
-            fuzzy_min_len=fuzzy_min_len,
-        )
-        pending.append(index)
-        for state in live:
-            spawned.setdefault(state.start_index, []).append(state)
-        resolve_exhausted()
-
-    live = []
-    resolve_exhausted()
+        start = end + 1
     return annotations

@@ -189,15 +189,9 @@ def _extend_row(
 
 @dataclass(frozen=True)
 class TokenMatch:
-    """One way an input token can advance from the current node.
-
-    ``consumed_dict_tokens`` counts trie edges: 1 for perfect and
-    edit-distance matches, 2 for composed words, and the expansion length
-    for abbreviations.
-    """
+    """One way an input token can advance from the current node."""
 
     technique: MatchTechnique
-    consumed_dict_tokens: int
     target_node: TrieNode
 
 
@@ -234,14 +228,14 @@ def match_token(
     """
     found: dict[int, TokenMatch] = {}
 
-    def offer(technique: MatchTechnique, consumed: int, target: TrieNode) -> None:
+    def offer(technique: MatchTechnique, target: TrieNode) -> None:
         key = id(target)
         if key not in found:  # generation order is priority order
-            found[key] = TokenMatch(technique, consumed, target)
+            found[key] = TokenMatch(technique, target)
 
     child = node.children.get(input_token)
     if child is not None:
-        offer(MatchTechnique.PERFECT, 1, child)
+        offer(MatchTechnique.PERFECT, child)
 
     for expansion in abbrevs.expansions(input_token):
         target: TrieNode | None = node
@@ -250,7 +244,7 @@ def match_token(
             if target is None:
                 break
         else:
-            offer(MatchTechnique.ABBREVIATION, len(expansion), target)
+            offer(MatchTechnique.ABBREVIATION, target)
 
     if max_dist > 0:
         n = len(input_token)
@@ -272,8 +266,8 @@ def match_token(
                     if last is not None and last[n] <= max_dist:
                         composed.append(mid.children[second])
         for target in near:
-            offer(MatchTechnique.LEVENSHTEIN, 1, target)
+            offer(MatchTechnique.LEVENSHTEIN, target)
         for target in composed:
-            offer(MatchTechnique.BIGRAM_LEVENSHTEIN, 2, target)
+            offer(MatchTechnique.BIGRAM_LEVENSHTEIN, target)
 
     return list(found.values())

@@ -78,7 +78,6 @@ class NormalizationConfig:
 class TokenizedText:
     """Normalized tokens of a raw string plus their original-character spans."""
 
-    original: str
     tokens: tuple[str, ...]
     offsets: tuple[tuple[int, int], ...]
 
@@ -111,4 +110,4 @@ def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
         else:
             flush()
     flush()
-    return TokenizedText(raw, tuple(tokens), tuple(offsets))
+    return TokenizedText(tuple(tokens), tuple(offsets))

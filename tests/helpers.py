@@ -80,7 +80,7 @@ def edit_distance_reference(a: str, b: str) -> int:
 
 def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_len):
     """Brute-force match_token from the node at *path*, as a set of
-    (technique, tokens consumed, target path) triples.
+    (technique, target path) pairs.
 
     Plain dict walks over children and grandchildren with the reference
     edit distance and no length filters; each target keeps its strongest
@@ -91,7 +91,7 @@ def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_
         node = node.children[token]
     found = []
     if input_token in node.children:
-        found.append((MatchTechnique.PERFECT, 1, path + (input_token,)))
+        found.append((MatchTechnique.PERFECT, path + (input_token,)))
     for expansion in abbrevs.entries.get(input_token, ()):
         target = node
         for token in expansion:
@@ -99,19 +99,56 @@ def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_
             if target is None:
                 break
         else:
-            found.append((MatchTechnique.ABBREVIATION, len(expansion), path + expansion))
+            found.append((MatchTechnique.ABBREVIATION, path + expansion))
     if max_dist > 0:
         for first, child in node.children.items():
             if (
                 len(input_token) >= fuzzy_min_len
                 and edit_distance_reference(input_token, first) <= max_dist
             ):
-                found.append((MatchTechnique.LEVENSHTEIN, 1, path + (first,)))
+                found.append((MatchTechnique.LEVENSHTEIN, path + (first,)))
             for second in child.children:
                 if edit_distance_reference(input_token, first + second) <= max_dist:
-                    found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, 2, path + (first, second)))
+                    found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, path + (first, second)))
     strongest = {}
-    for technique, consumed, target in found:
-        if target not in strongest or technique < strongest[target][0]:
-            strongest[target] = (technique, consumed)
-    return {(technique, consumed, target) for target, (technique, consumed) in strongest.items()}
+    for technique, target in found:
+        if target not in strongest or technique < strongest[target]:
+            strongest[target] = technique
+    return {(technique, target) for target, technique in strongest.items()}
+
+
+def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
+    """Brute-force greedy leftmost-longest annotation, as
+    (start_token, end_token, label, code, technique sum) tuples.
+
+    From each start it walks every path of ``reference_match_token`` steps
+    depth first and keeps the smallest (-end, technique sum, label, code)
+    over the term nodes passed; that term is committed and the scan skips
+    past it, or moves one token on when there is none. No state pool, no
+    select_longest: the differential test compares annotate_line against it.
+    """
+    found = []
+    start = 0
+    while start < len(tokens):
+        best = None
+        stack = [(start, (), 0)]  # next token, trie path so far, technique sum
+        while stack:
+            index, path, cost = stack.pop()
+            if index == len(tokens):
+                continue
+            steps = reference_match_token(tokens[index], trie, path, abbrevs, max_dist, fuzzy_min_len)
+            for technique, target in steps:
+                total = cost + technique
+                term = trie.lookup_path(target).terminal
+                if term is not None:
+                    key = (-index, total, term.label, term.code)
+                    if best is None or key < best:
+                        best = key
+                stack.append((index + 1, target, total))
+        if best is None:
+            start += 1
+            continue
+        neg_end, total, label, code = best
+        found.append((start, -neg_end, label, code, total))
+        start = -neg_end + 1
+    return found

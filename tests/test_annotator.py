@@ -16,7 +16,9 @@ from termcoder.matcher import (
     MatchTechnique,
     default_abbreviations,
     levenshtein_distance,
+    match_token,
 )
+from termcoder.normalize import tokenize
 from termcoder.trie import DictionaryTrie, Term
 
 from helpers import (
@@ -25,6 +27,7 @@ from helpers import (
     composed_trie,
     heart_trie,
     leftmost_longest_windows,
+    reference_annotate,
 )
 
 INS_TABLE = AbbreviationTable.build({"ins": "insuffisance"})
@@ -155,29 +158,55 @@ class TestScanningBehavior:
         assert anns[0].end_char == len("SYNDROME DE GLISSEMENT")
 
 
+class TestRootSearches:
+    @pytest.mark.parametrize(
+        "raw, trie, max_dist, expected",
+        [
+            ("insuffisance cardiaque aigue", heart_trie(), 0, 1),
+            ("x y q z w", build_trie({"x y": "C1", "z w": "C2"}), 0, 3),
+            ("INS CARDIAQU AIGUE DETRESSE RESPIRATOIRE", heart_trie(), 1, 3),
+        ],
+    )
+    def test_one_root_search_per_uncovered_token_or_annotation(
+        self, monkeypatch, raw, trie, max_dist, expected
+    ):
+        # Tokens inside a committed span never start a search from the root.
+        root_calls = 0
+
+        def counting(input_token, node, *args, **kwargs):
+            nonlocal root_calls
+            root_calls += node is trie.root
+            return match_token(input_token, node, *args, **kwargs)
+
+        monkeypatch.setattr("termcoder.annotator.match_token", counting)
+        anns = annotate_line(raw, trie, NO_STOPWORDS, INS_TABLE, max_dist)
+        covered = sum(a.end_token - a.start_token + 1 for a in anns)
+        uncovered = len(tokenize(raw, NO_STOPWORDS).tokens) - covered
+        assert root_calls == uncovered + len(anns) == expected
+
+
 class TestAdvanceStates:
     def test_forks_once_per_match(self):
         trie = composed_trie()
-        successors = advance_states([], "meningoencephalite", 0, trie=trie)
+        successors = advance_states([MatchState(trie.root)], "meningoencephalite", 0)
         assert len(successors) == 2
         assert {s.node.token for s in successors} == {"meningoencephalite", "encephalite"}
 
     def test_empty_pool_spawns_fresh_root_attempt(self):
         trie = heart_trie()
-        successors = advance_states([], "insuffisance", 3, trie=trie)
+        successors = advance_states([MatchState(trie.root)], "insuffisance", 3)
         assert len(successors) == 1
-        assert successors[0].start_index == 3
         assert successors[0].node.token == "insuffisance"
         assert successors[0].last_terminal is None
 
     def test_states_with_no_match_die(self):
         trie = heart_trie()
-        assert advance_states([], "zzz", 0, trie=trie) == []
+        assert advance_states([MatchState(trie.root)], "zzz", 0) == []
 
     def test_terminal_recorded_on_pass(self):
         trie = heart_trie()
-        states = advance_states([], "insuffisance", 0, trie=trie)
-        states = advance_states(states, "cardiaque", 1, trie=trie)
+        states = advance_states([MatchState(trie.root)], "insuffisance", 0)
+        states = advance_states(states, "cardiaque", 1)
         hits = [s.last_terminal for s in states if s.last_terminal]
         assert [h.term.label for h in hits] == ["insuffisance cardiaque"]
         assert hits[0].end_index == 1
@@ -186,7 +215,7 @@ class TestAdvanceStates:
 class TestSelectLongest:
     @staticmethod
     def _state(node, hit):
-        return MatchState(node, 0, hit.techniques if hit else (), hit)
+        return MatchState(node, hit.techniques if hit else (), hit)
 
     def test_longest_span_wins(self):
         trie = heart_trie()
@@ -198,7 +227,7 @@ class TestSelectLongest:
 
     def test_no_terminals(self):
         trie = heart_trie()
-        assert select_longest([MatchState(trie.root, 0)]) is None
+        assert select_longest([MatchState(trie.root)]) is None
 
     def test_technique_priority_breaks_ties(self):
         trie = heart_trie()
@@ -288,3 +317,31 @@ def test_exact_term_text_is_fully_recognized(entries):
         assert anns[0].term_label == " ".join(path)
         assert anns[0].code == code
         assert all(t is MatchTechnique.PERFECT for t in anns[0].techniques)
+
+
+# "fanta" is also a dictionary token, so a perfect match and an abbreviation
+# can reach terms of equal length whose labels sort the other way.
+ABBREV_TABLE = AbbreviationTable.build(
+    {"ab": ["alpha bravo", "alpha"], "cd": "carta delta", "fanta": "delta"}, NO_STOPWORDS
+)
+short_or_composed = st.sampled_from(["ab", "cd", "alphabravo", "cartadelt", "deltaekova"])
+
+
+@given(
+    dictionaries,
+    st.lists(st.one_of(noisy_token(), short_or_composed), max_size=8),
+    st.sampled_from([1, 5]),
+)
+@settings(max_examples=150, deadline=None)
+def test_matches_brute_force_reference_with_fuzzy_techniques(entries, tokens, fuzzy_min_len):
+    trie = DictionaryTrie()
+    for path, code in entries.items():
+        trie.insert_term(Term(path, " ".join(path), code))
+    trie.freeze()
+    for max_dist in (0, 1, 2):
+        got = annotate_line(
+            " ".join(tokens), trie, NO_STOPWORDS, ABBREV_TABLE, max_dist, fuzzy_min_len
+        )
+        assert [
+            (a.start_token, a.end_token, a.term_label, a.code, sum(a.techniques)) for a in got
+        ] == reference_annotate(tokens, trie, ABBREV_TABLE, max_dist, fuzzy_min_len)

@@ -91,7 +91,6 @@ class TestMatchToken:
         matches = match_token("ins", trie.root, table, 1)
         assert len(matches) == 1
         assert matches[0].technique is MatchTechnique.ABBREVIATION
-        assert matches[0].consumed_dict_tokens == 1
         assert matches[0].target_node.token == "insuffisance"
 
     def test_unigram_and_bigram_paths_both_found(self):
@@ -108,7 +107,6 @@ class TestMatchToken:
             assert [m.technique for m in matches] == [unigram, MatchTechnique.BIGRAM_LEVENSHTEIN], probe
             assert matches[0].target_node.token == "meningoencephalite"
             assert matches[1].target_node.token == "encephalite"
-            assert matches[1].consumed_dict_tokens == 2
 
     def test_no_match(self):
         trie = heart_trie()
@@ -145,7 +143,6 @@ class TestMatchToken:
         matches = match_token("avc", trie.root, default_abbreviations(), 1)
         assert len(matches) == 1
         assert matches[0].technique is MatchTechnique.ABBREVIATION
-        assert matches[0].consumed_dict_tokens == 3
         assert matches[0].target_node.terminal.code == "I64"
 
     def test_targets_confined_to_current_position(self):
@@ -263,12 +260,12 @@ def test_match_token_equals_brute_force_reference(case):
         for path, node in nodes:
             for probe in probes:
                 got = match_token(probe, node, table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
-                as_list = [(m.technique, m.consumed_dict_tokens, paths[id(m.target_node)]) for m in got]
+                as_list = [(m.technique, paths[id(m.target_node)]) for m in got]
                 assert len(set(as_list)) == len(got)
                 assert set(as_list) == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
                 # The order is part of the result: select_longest keeps the first of equal keys.
-                techniques = [technique for technique, _, _ in as_list]
+                techniques = [technique for technique, _ in as_list]
                 assert techniques == sorted(techniques)
                 for fuzzy in (MatchTechnique.LEVENSHTEIN, MatchTechnique.BIGRAM_LEVENSHTEIN):
-                    targets = [target for technique, _, target in as_list if technique is fuzzy]
+                    targets = [target for technique, target in as_list if technique is fuzzy]
                     assert targets == sorted(targets)
