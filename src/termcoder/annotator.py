@@ -123,11 +123,15 @@ def annotate_line(
     then resumes after that term, or at the next token when there is none,
     so tokens inside a committed span never start a search, and no
     backtracking trades a committed match for a longer one further right.
-    Purely functional over shared inputs, so lines can be annotated
-    concurrently against one frozen trie.
+    Pure over shared inputs, so lines can be annotated concurrently against
+    one frozen trie. Raises ValueError if *max_dist* < 0 or *fuzzy_min_len* < 1.
     """
     if not trie.frozen:
         raise ValueError("dictionary trie must be frozen before annotation")
+    if max_dist < 0:
+        raise ValueError(f"max_dist must be at least 0, got {max_dist}")
+    if fuzzy_min_len < 1:
+        raise ValueError(f"fuzzy_min_len must be at least 1, got {fuzzy_min_len}")
     text = tokenize(raw, cfg)
     tokens, offsets = text.tokens, text.offsets
 

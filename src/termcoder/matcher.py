@@ -6,23 +6,26 @@ perfect equality, abbreviation expansion, bounded edit distance, and
 composed words (one input token vs. the concatenation of two consecutive
 dictionary tokens).
 
-Both distance-based techniques come from one walk over the child tokens.
-Each child's edit-distance row against the input token is extended one
-character at a time, only within the *max_dist* band around the
-diagonal, and is then carried on through every grandchild; a row whose
-band lies wholly past *max_dist* is dropped together with all of its
-grandchildren. ``levenshtein_distance`` is kept as the standalone
-distance between two strings; matching does not call it.
+Both distance-based techniques come from one descent over the sorted
+child tokens, read as a character trie (Shang & Merrett 1996; Mihov &
+Schulz 2004). An edit-distance row against the input token is extended
+one character at a time within the *max_dist* band around the diagonal
+(Ukkonen 1985). Tokens sharing a prefix share its row, a dead row drops
+every token under it, and each surviving child's row is carried on into
+its grandchildren the same way. ``levenshtein_distance`` is kept as the
+standalone distance between two strings; matching does not call it.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from os import PathLike
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .normalize import NormalizationConfig, normalize_text, tokenize
 from .trie import TrieNode
@@ -152,9 +155,9 @@ def _extend_row(
     characters read so far. Only the cells within *max_dist* of the
     diagonal are computed (Ukkonen 1985); every other cell holds some
     value above *max_dist*, and any such value means "too far". Returns
-    the row after the last of *chars*, or None as soon as every cell is
-    too far: no continuation of what was read can come back within
-    *max_dist*.
+    the row after the last of *chars*, or None as soon as the smallest
+    band cell, tracked while the band is computed, is too far: no
+    continuation of what was read can come back within *max_dist*.
     """
     n = len(word)
     over = max_dist + 1
@@ -172,6 +175,7 @@ def _extend_row(
         if hi > n:
             hi = n
         diag = row[lo - 1]
+        least = left
         for j in range(lo, hi + 1):
             up = row[j]
             cost = diag if word[j - 1] == ch else diag + 1
@@ -180,11 +184,68 @@ def _extend_row(
             if left < cost:
                 cost = left + 1
             new[j] = left = cost
+            if cost < least:
+                least = cost
             diag = up
-        if min(new) > max_dist:
+        if least > max_dist:
             return None
         row = new
     return row
+
+
+# Sibling runs up to this size are scanned one token at a time: on so few
+# tokens, the bookkeeping of a split costs more than the rows it saves.
+_LEAF_SIZE = 64
+
+
+def _walk(
+    tokens: tuple[str, ...], row: list[int], depth: int, word: str, max_dist: int, lengths: range
+) -> Iterator[tuple[str, list[int]]]:
+    """Yield ``(token, row)``, in order, for each sorted token with a length
+    in *lengths* whose row, continued from *row* at *depth*, stays alive.
+
+    A run of tokens with a common prefix extends the prefix's row once, and
+    a dead prefix drops the run. Once no band cell is below *max_dist*, a
+    character keeps the row alive only if it is ``word[j]`` for a cell
+    ``j`` at *max_dist*, so bisect jumps to those characters' runs. A run
+    of at most ``_LEAF_SIZE`` tokens is scanned flat, passing over, when a
+    split reached it, tokens whose next character is not one of those.
+    """
+    stack = [(0, len(tokens), 0, row)]
+    while stack:
+        lo, hi, k, row = stack.pop()  # tokens[lo:hi] share a k-character prefix, whose row is *row*
+        i = depth + k
+        allowed = None
+        if k or hi - lo > _LEAF_SIZE:
+            j0 = max(0, i - max_dist)
+            band = row[j0 : i + max_dist + 1]
+            if min(band) == max_dist:  # next characters that can keep the row; "": the token ends
+                allowed = {word[j : j + 1] for j, d in enumerate(band, j0) if d == max_dist} | {""}
+        if hi - lo <= _LEAF_SIZE:
+            for token in tokens[lo:hi]:
+                if len(token) in lengths and (allowed is None or token[k : k + 1] in allowed):
+                    last = _extend_row(row, i, token[k:], word, max_dist)
+                    if last is not None:
+                        yield token, last
+            continue
+        if len(tokens[lo]) == k:  # the prefix itself sorts before its extensions
+            if k in lengths:
+                yield tokens[lo], row
+            lo += 1
+        key = itemgetter(k)
+        runs = []
+        while lo < hi:
+            ch = tokens[lo][k]
+            if allowed is not None and ch not in allowed:
+                ahead = [c for c in allowed if c > ch]
+                lo = bisect_left(tokens, min(ahead), lo, hi, key=key) if ahead else hi
+                continue
+            end = bisect_right(tokens, ch, lo, hi, key=key)
+            extended = _extend_row(row, i, ch, word, max_dist)
+            if extended is not None:
+                runs.append((lo, end, k + 1, extended))
+            lo = end
+        stack.extend(reversed(runs))
 
 
 @dataclass(frozen=True)
@@ -214,12 +275,11 @@ def match_token(
     perfect and abbreviation matches remain. Each target node is reported
     once, under its strongest technique.
 
-    Fuzzy candidates come from one walk over ``node.sorted_tokens``: each
-    child token's banded edit-distance row (see ``_extend_row``) decides
-    the child itself and is then carried on through each of its
-    grandchildren, so it is computed once however many follow. A child
-    whose row exceeds *max_dist* in every cell is dropped with all of its
-    grandchildren.
+    Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
+    each surviving child's banded row (see ``_extend_row``) decides the
+    child itself, and a second walk carries it into the child's sorted
+    grandchildren. Prefix rows are shared and dead prefixes skipped, so a
+    child or pair whose row would exceed *max_dist* may cost no row at all.
 
     *node* must belong to a frozen trie: the walk follows its
     ``sorted_tokens``, which fixes the order of the result: perfect,
@@ -251,20 +311,16 @@ def match_token(
         near: list[TrieNode] = []
         composed: list[TrieNode] = []
         start = list(range(n + 1))
-        for first in node.sorted_tokens:
-            if len(first) > n + max_dist:  # too long, and so is every first + second
-                continue
-            row = _extend_row(start, 0, first, input_token, max_dist)
-            if row is None:
-                continue
+        top = n + max_dist  # a longer first token is too long, and so is every first + second
+        for first, row in _walk(node.sorted_tokens, start, 0, input_token, max_dist, range(top + 1)):
             mid = node.children[first]
             if row[n] <= max_dist and n >= fuzzy_min_len and first != input_token:
                 near.append(mid)
-            for second in mid.sorted_tokens:
-                if abs(len(first) + len(second) - n) <= max_dist:  # else row[n] is out of the band
-                    last = _extend_row(row, len(first), second, input_token, max_dist)
-                    if last is not None and last[n] <= max_dist:
-                        composed.append(mid.children[second])
+            if mid.sorted_tokens:
+                d = len(first)  # outside this window of lengths, row[n] is out of the band
+                window = range(n - max_dist - d, top - d + 1)
+                seconds = _walk(mid.sorted_tokens, row, d, input_token, max_dist, window)
+                composed.extend(mid.children[s] for s, last in seconds if last[n] <= max_dist)
         for target in near:
             offer(MatchTechnique.LEVENSHTEIN, target)
         for target in composed:

@@ -108,6 +108,26 @@ class TestGoldenSequences:
         with pytest.raises(ValueError, match="frozen"):
             annotate_line("avc", trie)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"max_dist": -3}, "max_dist"),
+            ({"max_dist": -1}, "max_dist"),
+            ({"fuzzy_min_len": 0}, "fuzzy_min_len"),
+        ],
+    )
+    def test_out_of_range_parameter_rejected(self, kwargs, name):
+        # Checked before tokenizing, so an empty line is rejected too.
+        for raw in ("insuffisance cardiaqe", ""):
+            with pytest.raises(ValueError, match=f"^{name} must be at least"):
+                annotate_line(raw, heart_trie(), **kwargs)
+
+    def test_lowest_parameters_accepted(self):
+        anns = annotate_line("insuffisance cardiaqe", heart_trie(), max_dist=0, fuzzy_min_len=1)
+        assert anns == []
+        (ann,) = annotate_line("insuffisance cardiaqe", heart_trie(), max_dist=1, fuzzy_min_len=1)
+        assert ann.term_label == "insuffisance cardiaque"
+
 
 class TestScanningBehavior:
     def test_longest_is_kept_over_its_prefix(self):

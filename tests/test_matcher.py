@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termcoder import matcher
 from termcoder.matcher import (
+    _LEAF_SIZE,
+    EMPTY_ABBREVIATIONS,
     AbbreviationTable,
     MatchTechnique,
     default_abbreviations,
@@ -247,25 +252,134 @@ def fuzzy_cases(draw):
     return trie, table, probes, draw(st.integers(1, 6))
 
 
+def assert_matches_reference(trie, table, path, node, probe, max_dist, fuzzy_min_len, paths):
+    """match_token from *node* equals the brute-force reference, in the promised order."""
+    got = match_token(probe, node, table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
+    as_list = [(m.technique, paths[id(m.target_node)]) for m in got]
+    assert len(set(as_list)) == len(got)
+    assert set(as_list) == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
+    # The order is part of the result: select_longest keeps the first of equal keys.
+    techniques = [technique for technique, _ in as_list]
+    assert techniques == sorted(techniques)
+    for fuzzy in (MatchTechnique.LEVENSHTEIN, MatchTechnique.BIGRAM_LEVENSHTEIN):
+        targets = [target for technique, target in as_list if technique is fuzzy]
+        assert targets == sorted(targets)
+
+
+def node_paths(trie):
+    """(path, node) for every node of *trie*, root first."""
+    nodes = [((), trie.root)]
+    for path, node in nodes:
+        nodes.extend((path + (token,), child) for token, child in node.children.items())
+    return nodes
+
+
 @given(fuzzy_cases())
 @settings(max_examples=120, deadline=None)
 def test_match_token_equals_brute_force_reference(case):
     trie, table, probes, fuzzy_min_len = case
-    nodes = [((), trie.root)]
-    for path, node in nodes:
-        nodes.extend((path + (token,), child) for token, child in node.children.items())
+    nodes = node_paths(trie)
     paths = {id(node): path for path, node in nodes}
     # At max_dist 3 the band is wider than the 2-5-letter tokens.
     for max_dist in (0, 1, 2, 3):
         for path, node in nodes:
             for probe in probes:
-                got = match_token(probe, node, table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
-                as_list = [(m.technique, paths[id(m.target_node)]) for m in got]
-                assert len(set(as_list)) == len(got)
-                assert set(as_list) == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
-                # The order is part of the result: select_longest keeps the first of equal keys.
-                techniques = [technique for technique, _ in as_list]
-                assert techniques == sorted(techniques)
-                for fuzzy in (MatchTechnique.LEVENSHTEIN, MatchTechnique.BIGRAM_LEVENSHTEIN):
-                    targets = [target for technique, target in as_list if technique is fuzzy]
-                    assert targets == sorted(targets)
+                assert_matches_reference(trie, table, path, node, probe, max_dist, fuzzy_min_len, paths)
+
+
+def wide_trie(rnd, alphabet):
+    """A trie whose root, and one of its children, have more children than a
+    flat leaf scans, with the probes to try from them.
+
+    Root children are short words over *alphabet*, some of them prefixes of
+    others. Two more runs sit under prefixes no other word has: one of
+    exactly ``_LEAF_SIZE`` tokens and one of ``_LEAF_SIZE + 1``, the prefix
+    itself among them. Probes are node tokens and child + grandchild
+    concatenations with up to three random edits, and random strings.
+    """
+    a, b, c = alphabet[:3]
+    suffixes = [""]
+    for suffix in suffixes:
+        if len(suffix) < 4:
+            suffixes.extend(suffix + ch for ch in alphabet)
+
+    def word(low, high):
+        return "".join(rnd.choice(alphabet) for _ in range(rnd.randint(low, high)))
+
+    words = {w for w in (word(1, 6) for _ in range(rnd.randint(80, 160))) if w[:2] not in (c + a, c + b)}
+    words |= {w[: rnd.randint(1, len(w))] for w in list(words) if rnd.random() < 0.2}
+    words |= {c + a + s for s in rnd.sample(suffixes[1:], _LEAF_SIZE)}
+    words |= {c + b + s for s in [""] + rnd.sample(suffixes[1:], _LEAF_SIZE)}
+    firsts = sorted(words)
+    wide = rnd.choice(firsts)
+    terms = [(w,) for w in firsts]
+    terms += [(wide, second) for second in rnd.sample(suffixes[1:], _LEAF_SIZE + 20)]
+    terms += [(rnd.choice(firsts), word(1, 5)) for _ in range(40)]
+    trie = DictionaryTrie()
+    for i, path in enumerate(dict.fromkeys(terms)):
+        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+    trie.freeze()
+
+    def edited(token):
+        for _ in range(rnd.randint(0, 3)):
+            i = rnd.randint(0, len(token))
+            ch = rnd.choice(alphabet + "x")
+            kind = rnd.randrange(3)
+            if kind == 0:
+                token = token[:i] + ch + token[i + 1 :]
+            elif kind == 1:
+                token = token[:i] + ch + token[i:]
+            elif len(token) > 1:
+                token = token[:i] + token[i + 1 :]
+        return token
+
+    pairs = [path for path in terms if len(path) == 2]
+    probes = [edited(rnd.choice(firsts)) for _ in range(4)]
+    probes += [edited("".join(rnd.choice(pairs))) for _ in range(3)]
+    probes += [word(1, 12) for _ in range(2)]
+    assert len(trie.root.children) > _LEAF_SIZE
+    assert len(trie.root.children[wide].children) > _LEAF_SIZE
+    return trie, wide, probes
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    # Tokens may hold any code point, the highest included: no run end may rely on a sentinel.
+    ["abc", "abcd", "\U0010ffff\U0010fffe\U0001f600a"],
+    ids=["abc", "abcd", "highest-code-points"],
+)
+@given(rnd=st.randoms(use_true_random=False))
+@settings(max_examples=12, deadline=None)
+def test_descent_over_wide_nodes_equals_brute_force_reference(alphabet, rnd):
+    # More siblings than _LEAF_SIZE: shared prefix rows, jumps and split-reached leaves.
+    trie, wide, probes = wide_trie(rnd, alphabet)
+    paths = {id(node): path for path, node in node_paths(trie)}
+    fuzzy_min_len = rnd.choice((1, 4))
+    for path in ((), (wide,)):
+        node = trie.lookup_path(path)
+        for probe in probes:
+            for max_dist in (1, 2, 3):
+                assert_matches_reference(
+                    trie, EMPTY_ABBREVIATIONS, path, node, probe, max_dist, fuzzy_min_len, paths
+                )
+
+
+def test_descent_extends_fewer_rows_than_eligible_children(monkeypatch):
+    rnd = random.Random(6)
+    words = {"".join(rnd.choice("abcd") for _ in range(rnd.randint(3, 8))) for _ in range(400)}
+    trie = build_trie({w: f"C{i}" for i, w in enumerate(sorted(words))})
+    probe = min(w for w in words if len(w) == 6)[:-1] + "x"  # one substitution away
+    eligible = [w for w in words if len(w) <= len(probe) + 1]
+    calls = []
+    extend_row = matcher._extend_row
+    monkeypatch.setattr(
+        matcher, "_extend_row", lambda *args: calls.append(args) or extend_row(*args)
+    )
+    got = match_token(probe, trie.root, max_dist=1, fuzzy_min_len=1)
+    assert {(m.technique, (m.target_node.token,)) for m in got} == reference_match_token(
+        probe, trie, (), EMPTY_ABBREVIATIONS, 1, 1
+    )
+    assert got
+    # A flat scan extends one row per length-eligible child at least.
+    assert len(eligible) > 200
+    assert len(calls) < len(eligible)
