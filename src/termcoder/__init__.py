@@ -12,8 +12,6 @@ name is importable from its own module.
 
 from .annotator import Annotation, annotate_line
 from .coder import (
-    MODE_CORPUS_ONLY,
-    MODE_CORPUS_PLUS_EXTERNAL,
     BuildReport,
     DictionaryBuildError,
     DictionarySpec,
@@ -44,8 +42,6 @@ __all__ = [
     "DictionarySpec",
     "DictionaryTrie",
     "EvalReport",
-    "MODE_CORPUS_ONLY",
-    "MODE_CORPUS_PLUS_EXTERNAL",
     "MatchTechnique",
     "NormalizationConfig",
     "TermListFormat",

@@ -3,10 +3,12 @@
 The engine resolves one start token at a time, leftmost first. From the
 trie root it advances a pool of traversal states through the following
 tokens, forking a state once per way a token can match, until no state
-survives or the line ends. The deepest term node any of those states
-passed is committed, and the scan goes on after the committed span; if
-none was passed, it goes on at the next token. The result is a
-deterministic, non-overlapping, leftmost-longest annotation list.
+survives or the line ends. A state is a trie node and the technique trail
+that reached it. The last step that put a state on a term node consumed
+the most tokens, so that step's best term is committed, and the scan goes
+on after the committed span; if no step reached a term node, it goes on
+at the next token. The result is a deterministic, non-overlapping,
+leftmost-longest annotation list.
 """
 
 from __future__ import annotations
@@ -22,25 +24,15 @@ from .matcher import (
     match_token,
 )
 from .normalize import NormalizationConfig, tokenize
-from .trie import DictionaryTrie, Term, TrieNode
-
-
-@dataclass(frozen=True)
-class TerminalHit:
-    """Deepest term a state has passed, the index of its last input token, the trail."""
-
-    end_index: int
-    term: Term
-    techniques: tuple[MatchTechnique, ...]
+from .trie import DictionaryTrie, TrieNode
 
 
 @dataclass(frozen=True)
 class MatchState:
-    """A live traversal position: trie node, technique trail, deepest terminal."""
+    """A live traversal position: trie node and technique trail."""
 
     node: TrieNode
     techniques: tuple[MatchTechnique, ...] = ()
-    last_terminal: TerminalHit | None = None
 
 
 @dataclass(frozen=True)
@@ -60,51 +52,41 @@ class Annotation:
 def advance_states(
     states: list[MatchState],
     input_token: str,
-    token_index: int,
     *,
     abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
     max_dist: int = DEFAULT_MAX_DISTANCE,
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
 ) -> list[MatchState]:
-    """Advance every state across *input_token*, the token at *token_index*.
+    """Advance every state across *input_token*.
 
     Each state forks once per way the token matches from its node, in
-    ``match_token`` order; a state with no match dies. Successors that land
-    on a term node record it, ending at *token_index*, as their deepest
-    terminal.
+    ``match_token`` order; a state with no match dies.
     """
-    successors: list[MatchState] = []
-    for state in states:
+    return [
+        MatchState(match.target_node, state.techniques + (match.technique,))
+        for state in states
         for match in match_token(
             input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
-        ):
-            techniques = state.techniques + (match.technique,)
-            term = match.target_node.terminal
-            hit = (
-                TerminalHit(token_index, term, techniques)
-                if term is not None
-                else state.last_terminal
-            )
-            successors.append(MatchState(match.target_node, techniques, hit))
-    return successors
+        )
+    ]
 
 
-def select_longest(states: list[MatchState]) -> TerminalHit | None:
-    """Best terminal among states sharing a start token, or None.
+def select_longest(states: list[MatchState]) -> MatchState | None:
+    """Best state on a term node in one step's pool, or None.
 
-    Most consumed input tokens win; ties go to the smallest technique
-    priority sum (perfect beats fuzzy), then the smallest term label.
+    Every state in the pool consumed the same tokens; the smallest
+    technique priority sum wins (perfect beats fuzzy), then the smallest
+    term label, then the smallest code, then the first state in pool order.
     """
-    best: TerminalHit | None = None
-    best_key = None
-    for state in states:
-        hit = state.last_terminal
-        if hit is None:
-            continue
-        key = (-hit.end_index, sum(hit.techniques), hit.term.label, hit.term.code)
-        if best is None or key < best_key:
-            best, best_key = hit, key
-    return best
+    return min(
+        (state for state in states if state.node.terminal is not None),
+        key=lambda state: (
+            sum(state.techniques),
+            state.node.terminal.label,
+            state.node.terminal.code,
+        ),
+        default=None,
+    )
 
 
 def annotate_line(
@@ -117,12 +99,14 @@ def annotate_line(
 ) -> list[Annotation]:
     """Detect dictionary terms in *raw* and return ordered annotations.
 
-    Greedy leftmost-longest: from each start token, every state that
-    ``advance_states`` reaches is gathered until the pool empties or the
-    line ends, and ``select_longest`` picks the term to commit. The scan
-    then resumes after that term, or at the next token when there is none,
-    so tokens inside a committed span never start a search, and no
-    backtracking trades a committed match for a longer one further right.
+    Greedy leftmost-longest: from each start token, ``advance_states``
+    steps the pool until it empties or the line ends, and after each step
+    ``select_longest`` picks that step's best state on a term node. The
+    last step with such a state consumed the most tokens; its state's term
+    is committed. The scan then resumes after that term, or at the next
+    token when there is none, so tokens inside a committed span never
+    start a search, and no backtracking trades a committed match for a
+    longer one further right.
     Pure over shared inputs, so lines can be annotated concurrently against
     one frozen trie. Raises ValueError if *max_dist* < 0 or *fuzzy_min_len* < 1.
     """
@@ -139,24 +123,24 @@ def annotate_line(
     start = 0
     while start < len(tokens):
         states = [MatchState(trie.root)]
-        reached: list[MatchState] = []
+        best, end = None, start
         for index in range(start, len(tokens)):
             states = advance_states(
                 states,
                 tokens[index],
-                index,
                 abbrevs=abbrevs,
                 max_dist=max_dist,
                 fuzzy_min_len=fuzzy_min_len,
             )
             if not states:
                 break
-            reached.extend(states)
-        hit = select_longest(reached)
-        if hit is None:
+            hit = select_longest(states)
+            if hit is not None:
+                best, end = hit, index
+        if best is None:
             start += 1
             continue
-        end = hit.end_index
+        term = best.node.terminal
         annotations.append(
             Annotation(
                 start_char=offsets[start][0],
@@ -164,9 +148,9 @@ def annotate_line(
                 start_token=start,
                 end_token=end,
                 matched_tokens=tokens[start : end + 1],
-                term_label=hit.term.label,
-                code=hit.term.code,
-                techniques=hit.techniques,
+                term_label=term.label,
+                code=term.code,
+                techniques=best.techniques,
             )
         )
         start = end + 1

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .annotator import annotate_line
-from .coder import MODE_CORPUS_ONLY, MODES, DictionarySpec, assemble_dictionary
+from .coder import DictionarySpec, assemble_dictionary
 from .corpus import (
     AnnotatedLine,
     CorpusFormat,
@@ -77,13 +77,7 @@ def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
         default=[],
         type=Path,
         metavar="CSV",
-        help="external label/code term list (repeatable)",
-    )
-    group.add_argument(
-        "--mode",
-        choices=MODES,
-        default=MODE_CORPUS_ONLY,
-        help="corpus_only uses training terms; corpus_plus_external merges --terms files",
+        help="external label/code term list, merged into the corpus terms (repeatable)",
     )
     group.add_argument(
         "--col-label", default="label", help="term list label column (name or 0-based index)"
@@ -128,7 +122,6 @@ def _dictionary_spec(args: argparse.Namespace) -> DictionarySpec:
     return DictionarySpec(
         corpus_sources=tuple(args.corpus),
         external_term_lists=tuple(args.terms),
-        mode=args.mode,
         corpus_format=_corpus_format(args),
         term_list_format=TermListFormat(
             delimiter=args.delimiter,

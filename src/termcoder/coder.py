@@ -22,11 +22,6 @@ from .corpus import (
 from .normalize import NormalizationConfig, tokenize
 from .trie import DictionaryTrie, Term
 
-MODE_CORPUS_ONLY = "corpus_only"
-MODE_CORPUS_PLUS_EXTERNAL = "corpus_plus_external"
-MODES = (MODE_CORPUS_ONLY, MODE_CORPUS_PLUS_EXTERNAL)
-
-
 class DictionaryBuildError(ValueError):
     """Dictionary sources are missing, inconsistent or unreadable."""
 
@@ -81,11 +76,10 @@ def resolve_code(table: CodeFrequencyTable, key: str) -> str:
 
 @dataclass(frozen=True)
 class DictionarySpec:
-    """Sources and mode for one dictionary build."""
+    """Sources for one dictionary build; external term lists are merged when given."""
 
     corpus_sources: tuple[Path, ...] = ()
     external_term_lists: tuple[Path, ...] = ()
-    mode: str = MODE_CORPUS_ONLY
     corpus_format: CorpusFormat = CorpusFormat()
     term_list_format: TermListFormat = TermListFormat()
 
@@ -115,16 +109,8 @@ def assemble_dictionary(
     sources before resolution.
     """
     cfg = cfg or NormalizationConfig()
-    if spec.mode not in MODES:
-        raise DictionaryBuildError(f"unknown mode {spec.mode!r} (expected one of {MODES})")
     if not spec.corpus_sources:
         raise DictionaryBuildError("no sources: at least one corpus file is required")
-    if spec.mode == MODE_CORPUS_ONLY and spec.external_term_lists:
-        raise DictionaryBuildError(
-            "external term lists given but mode is corpus_only; use corpus_plus_external"
-        )
-    if spec.mode == MODE_CORPUS_PLUS_EXTERNAL and not spec.external_term_lists:
-        raise DictionaryBuildError("mode corpus_plus_external requires an external term list")
 
     records: list[CorpusRecord] = []
     for path in spec.corpus_sources:
@@ -137,13 +123,11 @@ def assemble_dictionary(
     external_table = tally_terms(external_pairs, cfg)
 
     conflicts = 0
-    for key in set(corpus_table.counts) | set(external_table.counts):
-        codes = set(corpus_table.counts.get(key, ())) | set(external_table.counts.get(key, ()))
-        if len(codes) > 1:
-            conflicts += 1
-
+    codes: set[str] = set()
     trie = DictionaryTrie()
     for key in sorted(set(corpus_table.counts) | set(external_table.counts)):
+        seen = set(corpus_table.counts.get(key, ())) | set(external_table.counts.get(key, ()))
+        conflicts += len(seen) > 1
         source = corpus_table if key in corpus_table.counts else external_table
         term = Term(
             tokens=tuple(key.split(" ")),
@@ -151,11 +135,12 @@ def assemble_dictionary(
             code=resolve_code(source, key),
         )
         trie.insert_term(term)
+        codes.add(term.code)
     trie.freeze()
 
     report = BuildReport(
         term_count=trie.term_count,
-        code_count=trie.code_count(),
+        code_count=len(codes),
         conflict_count=conflicts,
         skipped_rows=corpus_table.skipped_rows + external_table.skipped_rows,
     )

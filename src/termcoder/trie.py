@@ -88,9 +88,6 @@ class DictionaryTrie:
             if node.terminal is not None:
                 yield node.terminal
 
-    def code_count(self) -> int:
-        return len({term.code for term in self.iter_terms()})
-
     def lookup_path(self, tokens: Iterable[str]) -> TrieNode | None:
         """Walk a token sequence from the root; None if the path breaks off."""
         node = self.root

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termcoder.annotator import (
-    MatchState,
-    TerminalHit,
-    advance_states,
-    annotate_line,
-    select_longest,
-)
+from termcoder.annotator import MatchState, advance_states, annotate_line, select_longest
 from termcoder.matcher import (
     AbbreviationTable,
     MatchTechnique,
@@ -208,66 +202,90 @@ class TestRootSearches:
 class TestAdvanceStates:
     def test_forks_once_per_match(self):
         trie = composed_trie()
-        successors = advance_states([MatchState(trie.root)], "meningoencephalite", 0)
+        successors = advance_states([MatchState(trie.root)], "meningoencephalite")
         assert len(successors) == 2
         assert {s.node.token for s in successors} == {"meningoencephalite", "encephalite"}
 
     def test_empty_pool_spawns_fresh_root_attempt(self):
         trie = heart_trie()
-        successors = advance_states([MatchState(trie.root)], "insuffisance", 3)
+        successors = advance_states([MatchState(trie.root)], "insuffisance")
         assert len(successors) == 1
         assert successors[0].node.token == "insuffisance"
-        assert successors[0].last_terminal is None
+        assert successors[0].node.terminal is None
 
     def test_states_with_no_match_die(self):
         trie = heart_trie()
-        assert advance_states([MatchState(trie.root)], "zzz", 0) == []
+        assert advance_states([MatchState(trie.root)], "zzz") == []
 
-    def test_terminal_recorded_on_pass(self):
+    def test_successor_lands_on_term_node(self):
         trie = heart_trie()
-        states = advance_states([MatchState(trie.root)], "insuffisance", 0)
-        states = advance_states(states, "cardiaque", 1)
-        hits = [s.last_terminal for s in states if s.last_terminal]
-        assert [h.term.label for h in hits] == ["insuffisance cardiaque"]
-        assert hits[0].end_index == 1
+        states = advance_states([MatchState(trie.root)], "insuffisance")
+        states = advance_states(states, "cardiaque")
+        hits = [s for s in states if s.node.terminal is not None]
+        assert [h.node.terminal.label for h in hits] == ["insuffisance cardiaque"]
+        assert hits[0].techniques == (MatchTechnique.PERFECT,) * 2
+
+
+def tie_trie():
+    """Four one-token terms: labels "a", "b", "b", "b" with codes C3, C2, C1, C1."""
+    trie = DictionaryTrie()
+    for token, label, code in [("t", "a", "C3"), ("u", "b", "C2"), ("v", "b", "C1"), ("w", "b", "C1")]:
+        trie.insert_term(Term((token,), label, code))
+    return trie.freeze()
 
 
 class TestSelectLongest:
-    @staticmethod
-    def _state(node, hit):
-        return MatchState(node, hit.techniques if hit else (), hit)
+    P, A, L = MatchTechnique.PERFECT, MatchTechnique.ABBREVIATION, MatchTechnique.LEVENSHTEIN
 
     def test_longest_span_wins(self):
-        trie = heart_trie()
-        node = trie.root
-        short = TerminalHit(1, Term(("a", "b"), "a b", "C1"), (MatchTechnique.PERFECT,) * 2)
-        long = TerminalHit(2, Term(("a", "b", "c"), "a b c", "C2"), (MatchTechnique.PERFECT,) * 3)
-        got = select_longest([self._state(node, short), self._state(node, long)])
-        assert got is long
+        # Length is decided across steps by annotate_line: the longer term
+        # wins over a shorter one with a smaller technique sum and label.
+        trie = build_trie({"alpha beta": "C1", "alpha beta gammas": "C2"})
+        (ann,) = annotate_line("alpha beta gamma", trie, NO_STOPWORDS, max_dist=1)
+        assert (ann.term_label, ann.end_token) == ("alpha beta gammas", 2)
+        assert ann.techniques == (self.P, self.P, self.L)
 
     def test_no_terminals(self):
         trie = heart_trie()
         assert select_longest([MatchState(trie.root)]) is None
+        interior = trie.root.children["insuffisance"]
+        assert select_longest([MatchState(interior, (self.P,))]) is None
 
     def test_technique_priority_breaks_ties(self):
-        trie = heart_trie()
-        node = trie.root
-        clean = TerminalHit(1, Term(("a", "b"), "a b", "C1"), (MatchTechnique.PERFECT,) * 2)
-        fuzzy = TerminalHit(
-            1,
-            Term(("a", "c"), "a c", "C2"),
-            (MatchTechnique.LEVENSHTEIN, MatchTechnique.PERFECT),
-        )
-        got = select_longest([self._state(node, fuzzy), self._state(node, clean)])
-        assert got is clean
+        trie = tie_trie()
+        fuzzy = MatchState(trie.root.children["t"], (self.L,))
+        clean = MatchState(trie.root.children["u"], (self.A,))
+        assert select_longest([fuzzy, clean]) is clean
 
     def test_label_breaks_remaining_ties(self):
-        trie = heart_trie()
-        node = trie.root
-        first = TerminalHit(0, Term(("aa",), "aa", "C1"), (MatchTechnique.PERFECT,))
-        second = TerminalHit(0, Term(("ab",), "ab", "C2"), (MatchTechnique.PERFECT,))
-        got = select_longest([self._state(node, second), self._state(node, first)])
-        assert got is first
+        trie = tie_trie()
+        first = MatchState(trie.root.children["t"], (self.P,))
+        second = MatchState(trie.root.children["u"], (self.P,))
+        assert select_longest([second, first]) is first
+
+    def test_code_breaks_label_ties(self):
+        trie = tie_trie()
+        larger = MatchState(trie.root.children["u"], (self.P,))
+        smaller = MatchState(trie.root.children["v"], (self.P,))
+        assert select_longest([larger, smaller]) is smaller
+
+    def test_first_of_equal_keys_wins(self):
+        trie = tie_trie()
+        first = MatchState(trie.root.children["v"], (self.P,))
+        second = MatchState(trie.root.children["w"], (self.P,))
+        assert select_longest([first, second]) is first
+        assert select_longest([second, first]) is second
+
+    def test_tie_between_trails_keeps_the_first(self):
+        # (abbreviation, levenshtein) and (levenshtein, abbreviation) reach the
+        # same term with equal sums; the first in pool order is reported.
+        trie = build_trie({"alpha beta gamma": "C1"})
+        abbrevs = AbbreviationTable.build(
+            {"alphx": "alpha beta", "gammx": "beta gamma"}, NO_STOPWORDS
+        )
+        (ann,) = annotate_line("alphx gammx", trie, NO_STOPWORDS, abbrevs, max_dist=1)
+        assert ann.term_label == "alpha beta gamma"
+        assert ann.techniques == (self.A, self.L)
 
 
 # Small randomized cross-check against the reference window matcher; the

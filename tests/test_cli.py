@@ -64,17 +64,7 @@ class TestBuild:
         terms = tmp_path / "icd.csv"
         write_rows(corpus, ["d1;1;AVC;avc;I640"])
         terms.write_text("label;code\navc;I64\nasthme;J459\n", encoding="utf-8")
-        rc = main(
-            [
-                "build",
-                "--corpus",
-                str(corpus),
-                "--terms",
-                str(terms),
-                "--mode",
-                "corpus_plus_external",
-            ]
-        )
+        rc = main(["build", "--corpus", str(corpus), "--terms", str(terms)])
         assert rc == 0
         assert "terms=2 codes=2 conflicts=1" in capsys.readouterr().out
 

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from termcoder import (
-    MODE_CORPUS_PLUS_EXTERNAL,
     DictionaryBuildError,
     DictionarySpec,
     NormalizationConfig,
@@ -118,7 +117,6 @@ class TestAssemble:
         spec = DictionarySpec(
             corpus_sources=(corpus,),
             external_term_lists=(terms,),
-            mode=MODE_CORPUS_PLUS_EXTERNAL,
         )
         trie, report = assemble_dictionary(spec)
         assert trie.root.children["avc"].terminal.code == "I640"
@@ -138,22 +136,6 @@ class TestAssemble:
     def test_no_sources(self):
         with pytest.raises(DictionaryBuildError, match="no sources"):
             assemble_dictionary(DictionarySpec())
-
-    def test_mode_validation(self, tmp_path):
-        corpus = tmp_path / "train.csv"
-        terms = tmp_path / "icd.csv"
-        write_corpus(corpus, [("avc", "I640")])
-        write_terms(terms, [("asthme", "J459")])
-        with pytest.raises(DictionaryBuildError, match="corpus_only"):
-            assemble_dictionary(
-                DictionarySpec(corpus_sources=(corpus,), external_term_lists=(terms,))
-            )
-        with pytest.raises(DictionaryBuildError, match="requires an external"):
-            assemble_dictionary(
-                DictionarySpec(corpus_sources=(corpus,), mode=MODE_CORPUS_PLUS_EXTERNAL)
-            )
-        with pytest.raises(DictionaryBuildError, match="unknown mode"):
-            assemble_dictionary(DictionarySpec(corpus_sources=(corpus,), mode="other"))
 
     def test_trie_is_frozen_with_sorted_children(self, tmp_path):
         corpus = tmp_path / "train.csv"
@@ -211,7 +193,6 @@ class TestAssemble:
         spec = DictionarySpec(
             corpus_sources=(corpus,),
             external_term_lists=(terms,),
-            mode=MODE_CORPUS_PLUS_EXTERNAL,
         )
         trie, report = assemble_dictionary(spec)
         assert trie.root.children["asthme"].terminal.code == "J459"

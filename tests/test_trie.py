@@ -68,7 +68,6 @@ class TestCounts:
     def test_term_and_code_counts(self):
         trie = heart_trie()
         assert trie.term_count == 5
-        assert trie.code_count() == 5
 
     def test_prefix_sharing_node_count(self):
         trie = DictionaryTrie()
