@@ -1,8 +1,10 @@
 """Dictionary construction.
 
-Harvests (standard text, code) pairs from annotated corpora, optionally
-merges external label/code term lists, resolves every ambiguous term to
-its most frequent code, and produces a frozen trie ready for annotation.
+One pass from CSV rows to a frozen trie: (standard text, code) pairs from
+annotated corpora, and (label, code) pairs from optional external term
+lists, are tallied as they are read, keyed by their normalized token path.
+Every ambiguous term resolves to its most frequent code, and that path is
+inserted into the trie as it is.
 """
 
 from __future__ import annotations
@@ -12,13 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import (
-    CorpusFormat,
-    CorpusRecord,
-    TermListFormat,
-    parse_aligned_causes,
-    read_term_list,
-)
+from .corpus import CorpusFormat, TermListFormat, parse_aligned_causes, read_term_list
 from .normalize import NormalizationConfig, tokenize
 from .trie import DictionaryTrie, Term
 
@@ -30,43 +26,32 @@ class DictionaryBuildError(ValueError):
 class CodeFrequencyTable:
     """Per-term code occurrence counts keyed by the normalized token path."""
 
-    counts: dict[str, Counter] = field(default_factory=dict)
-    labels: dict[str, str] = field(default_factory=dict)
+    counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
+    labels: dict[tuple[str, ...], str] = field(default_factory=dict)
     skipped_rows: int = 0
-
-    def tally(self, label: str, code: str, cfg: NormalizationConfig) -> None:
-        if not label or not code:
-            self.skipped_rows += 1
-            return
-        tokens = tokenize(label, cfg).tokens
-        if not tokens:
-            self.skipped_rows += 1
-            return
-        key = " ".join(tokens)
-        self.counts.setdefault(key, Counter())[code] += 1
-        self.labels.setdefault(key, label)
 
 
 def tally_terms(
     pairs: Iterable[tuple[str, str]], cfg: NormalizationConfig | None = None
 ) -> CodeFrequencyTable:
-    """Count (label, code) occurrences; rows with an empty side are skipped."""
+    """Count (label, code) occurrences per token path; the first label seen is kept.
+
+    A row with an empty side, or whose label has no tokens, is skipped.
+    """
     cfg = cfg or NormalizationConfig()
     table = CodeFrequencyTable()
     for label, code in pairs:
-        table.tally(label, code, cfg)
+        tokens = tokenize(label, cfg).tokens if label and code else ()
+        if not tokens:
+            table.skipped_rows += 1
+            continue
+        table.counts.setdefault(tokens, Counter())[code] += 1
+        table.labels.setdefault(tokens, label)
     return table
 
 
-def build_dictionary_from_corpus(
-    records: Iterable[CorpusRecord], cfg: NormalizationConfig | None = None
-) -> CodeFrequencyTable:
-    """Tally the standard-text column of an annotated corpus."""
-    return tally_terms(((r.standard_text or "", r.code or "") for r in records), cfg)
-
-
-def resolve_code(table: CodeFrequencyTable, key: str) -> str:
-    """The most frequent code for a token-path key; ties go to the smallest code."""
+def resolve_code(table: CodeFrequencyTable, key: tuple[str, ...]) -> str:
+    """The most frequent code for a token path; ties go to the smallest code."""
     try:
         counter = table.counts[key]
     except KeyError:
@@ -112,28 +97,24 @@ def assemble_dictionary(
     if not spec.corpus_sources:
         raise DictionaryBuildError("no sources: at least one corpus file is required")
 
-    records: list[CorpusRecord] = []
-    for path in spec.corpus_sources:
-        records.extend(parse_aligned_causes(path, spec.corpus_format))
-    corpus_table = build_dictionary_from_corpus(records, cfg)
-
-    external_pairs: list[tuple[str, str]] = []
-    for path in spec.external_term_lists:
-        external_pairs.extend(read_term_list(path, spec.term_list_format))
-    external_table = tally_terms(external_pairs, cfg)
+    corpus_pairs = (
+        (record.standard_text or "", record.code or "")
+        for path in spec.corpus_sources
+        for record in parse_aligned_causes(path, spec.corpus_format)
+    )
+    list_pairs = (
+        pair for path in spec.external_term_lists for pair in read_term_list(path, spec.term_list_format)
+    )
+    corpus, external = tally_terms(corpus_pairs, cfg), tally_terms(list_pairs, cfg)
 
     conflicts = 0
     codes: set[str] = set()
     trie = DictionaryTrie()
-    for key in sorted(set(corpus_table.counts) | set(external_table.counts)):
-        seen = set(corpus_table.counts.get(key, ())) | set(external_table.counts.get(key, ()))
+    for key in corpus.counts | external.counts:  # corpus keys first, then external-only ones
+        seen = corpus.counts.get(key, {}).keys() | external.counts.get(key, {}).keys()
         conflicts += len(seen) > 1
-        source = corpus_table if key in corpus_table.counts else external_table
-        term = Term(
-            tokens=tuple(key.split(" ")),
-            label=source.labels[key],
-            code=resolve_code(source, key),
-        )
+        source = corpus if key in corpus.counts else external
+        term = Term(tokens=key, label=source.labels[key], code=resolve_code(source, key))
         trie.insert_term(term)
         codes.add(term.code)
     trie.freeze()
@@ -142,6 +123,6 @@ def assemble_dictionary(
         term_count=trie.term_count,
         code_count=len(codes),
         conflict_count=conflicts,
-        skipped_rows=corpus_table.skipped_rows + external_table.skipped_rows,
+        skipped_rows=corpus.skipped_rows + external.skipped_rows,
     )
     return trie, report

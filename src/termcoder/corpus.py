@@ -2,8 +2,9 @@
 
 The corpus layout pairs a physician's raw text line with the human coder's
 standard text and its code; the same raw line repeats once per assigned
-code. Evaluation compares (document, line, code) tuples pooled over the
-whole corpus.
+code. Corpus files, named-column term lists and annotation CSVs share one
+header-checked column reader. Evaluation compares (document, line, code)
+tuples pooled over the whole corpus.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from operator import itemgetter
 from os import PathLike
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .annotator import Annotation
 
@@ -59,6 +61,30 @@ class CorpusRecord:
     code: str | None = None
 
 
+def _read_columns(
+    path: PathArg, delimiter: str, columns: tuple[str, ...]
+) -> Iterator[tuple[str | None, ...]]:
+    """Yield the cells under *columns* (two or more) of each row of a headed CSV.
+
+    The file is read as ``utf-8-sig``. An empty file yields no rows, blank
+    rows are skipped, a short row's missing cells read as None, and a
+    column absent from the header raises :class:`CorpusFormatError`.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            return
+        position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+        for col in columns:
+            if col not in position:
+                raise CorpusFormatError(f"column {col!r} not found in {path} (header: {header})")
+        at = [position[col] for col in columns]
+        pick, width = itemgetter(*at), max(at) + 1
+        for row in filter(None, reader):  # blank rows are skipped, as DictReader does
+            yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
+
+
 def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> list[CorpusRecord]:
     """Read an aligned-causes style corpus CSV into records.
 
@@ -66,27 +92,16 @@ def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> l
     legal); rows missing document/line identity are skipped and counted in
     a warning. A configured column absent from the header is a hard error.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh, delimiter=fmt.delimiter)
-        if reader.fieldnames is None:
-            return []
-        for col in (fmt.col_doc, fmt.col_line, fmt.col_raw, fmt.col_standard, fmt.col_code):
-            if col not in reader.fieldnames:
-                raise CorpusFormatError(
-                    f"column {col!r} not found in {path} (header: {reader.fieldnames})"
-                )
-        records: list[CorpusRecord] = []
-        skipped = 0
-        for row in reader:
-            doc = (row.get(fmt.col_doc) or "").strip()
-            line = (row.get(fmt.col_line) or "").strip()
-            raw = row.get(fmt.col_raw)
-            if not doc or not line or raw is None:
-                skipped += 1
-                continue
-            standard = (row.get(fmt.col_standard) or "").strip() or None
-            code = (row.get(fmt.col_code) or "").strip() or None
-            records.append(CorpusRecord(doc, line, raw, standard, code))
+    columns = (fmt.col_doc, fmt.col_line, fmt.col_raw, fmt.col_standard, fmt.col_code)
+    records: list[CorpusRecord] = []
+    skipped = 0
+    for doc, line, raw, standard, code in _read_columns(path, fmt.delimiter, columns):
+        doc, line = (doc or "").strip(), (line or "").strip()
+        if not doc or not line or raw is None:
+            skipped += 1
+            continue
+        standard, code = (standard or "").strip() or None, (code or "").strip() or None
+        records.append(CorpusRecord(doc, line, raw, standard, code))
     if skipped:
         logger.warning("skipped %d malformed rows in %s", skipped, path)
     return records
@@ -94,28 +109,19 @@ def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> l
 
 def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> list[tuple[str, str]]:
     """Read (label, code) pairs from an external term list CSV."""
-    by_index = fmt.label_column.isdigit() and fmt.code_column.isdigit()
+    if not (fmt.label_column.isdigit() and fmt.code_column.isdigit()):
+        columns = (fmt.label_column, fmt.code_column)
+        rows = _read_columns(path, fmt.delimiter, columns)
+        return [(label or "", code or "") for label, code in rows]
+    label_at, code_at = int(fmt.label_column), int(fmt.code_column)
     pairs: list[tuple[str, str]] = []
     skipped = 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if by_index:
-            label_at, code_at = int(fmt.label_column), int(fmt.code_column)
-            for row in csv.reader(fh, delimiter=fmt.delimiter):
-                if max(label_at, code_at) >= len(row):
-                    skipped += 1
-                    continue
-                pairs.append((row[label_at], row[code_at]))
-        else:
-            reader = csv.DictReader(fh, delimiter=fmt.delimiter)
-            if reader.fieldnames is None:
-                return []
-            for col in (fmt.label_column, fmt.code_column):
-                if col not in reader.fieldnames:
-                    raise CorpusFormatError(
-                        f"column {col!r} not found in {path} (header: {reader.fieldnames})"
-                    )
-            for row in reader:
-                pairs.append((row.get(fmt.label_column) or "", row.get(fmt.code_column) or ""))
+        for row in csv.reader(fh, delimiter=fmt.delimiter):
+            if max(label_at, code_at) >= len(row):
+                skipped += 1
+                continue
+            pairs.append((row[label_at], row[code_at]))
     if skipped:
         logger.warning("skipped %d short rows in %s", skipped, path)
     return pairs
@@ -235,34 +241,31 @@ def write_annotations(
     return len(rows)
 
 
+def _offset(path: PathArg, n: int, col: str, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        msg = f"{path}, annotation row {n}: {col} {cell!r} is not an integer"
+        raise CorpusFormatError(msg) from None
+
+
 def read_annotation_rows(
     path: PathArg, fmt: CorpusFormat = CorpusFormat()
 ) -> list[AnnotationRow]:
-    """Read back an annotation CSV written by :func:`write_annotations`."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh, delimiter=fmt.delimiter)
-        if reader.fieldnames is None:
-            return []
-        for col in ANNOTATION_COLUMNS:
-            if col not in reader.fieldnames:
-                raise CorpusFormatError(
-                    f"column {col!r} not found in {path} (header: {reader.fieldnames})"
-                )
-        rows = []
-        for row in reader:
-            techniques = row["techniques"] or ""
-            rows.append(
-                AnnotationRow(
-                    doc_id=row["doc_id"],
-                    line_id=row["line_id"],
-                    start_char=int(row["start_char"]),
-                    end_char=int(row["end_char"]),
-                    matched_text=row["matched_text"],
-                    term_label=row["term_label"],
-                    code=row["code"],
-                    techniques=tuple(techniques.split(",")) if techniques else (),
-                )
-            )
+    """Read back an annotation CSV written by :func:`write_annotations`.
+
+    A row that lacks a cell or has a non-integer offset raises
+    :class:`CorpusFormatError` naming the file, the row and the column.
+    """
+    rows = []
+    for n, cells in enumerate(_read_columns(path, fmt.delimiter, ANNOTATION_COLUMNS), 1):
+        if None in cells:
+            col = ANNOTATION_COLUMNS[cells.index(None)]
+            raise CorpusFormatError(f"{path}, annotation row {n}: no {col} cell")
+        doc_id, line_id, start, end, matched, label, code, techniques = cells
+        start_char, end_char = _offset(path, n, "start_char", start), _offset(path, n, "end_char", end)
+        techs = tuple(techniques.split(",")) if techniques else ()
+        rows.append(AnnotationRow(doc_id, line_id, start_char, end_char, matched, label, code, techs))
     return rows
 
 

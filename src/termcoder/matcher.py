@@ -73,7 +73,7 @@ class AbbreviationTable:
         entries: dict[str, list[tuple[str, ...]]] = {}
         for key, value in mapping.items():
             short = normalize_text(key).strip()
-            if not short or " " in short:
+            if short.split() != [short]:  # tokenize splits on every kind of space
                 raise ValueError(f"abbreviation {key!r} must normalize to a single token")
             raw_expansions = [value] if isinstance(value, str) else list(value)
             for raw in raw_expansions:

@@ -1,6 +1,7 @@
 """Shared fixtures and reference implementations for the test suite."""
 
-from termcoder import DictionaryTrie, MatchTechnique, NormalizationConfig
+from termcoder import BuildReport, DictionaryTrie, MatchTechnique, NormalizationConfig
+from termcoder.normalize import tokenize
 from termcoder.trie import Term
 
 # Synthetic dictionaries use short tokens; keep stopword removal out of the way.
@@ -152,3 +153,36 @@ def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
         found.append((start, -neg_end, label, code, total))
         start = -neg_end + 1
     return found
+
+
+def reference_dictionary(corpus_pairs, list_pairs, cfg):
+    """Brute-force dictionary build over raw (label, code) pairs, as
+    ({token path: (label, code)}, BuildReport).
+
+    A pair with an empty label or code, or whose label has no tokens, is a
+    skipped row. Each source keeps the first raw label of a path and every
+    code it saw there; the path's code is its most frequent one, ties going
+    to the smallest, and a path the corpus produced takes the corpus code
+    and label. A conflict is a path that saw more than one distinct code
+    over both sources. The differential test compares assemble_dictionary
+    against it.
+    """
+    skipped = 0
+    corpus, term_list = {}, {}  # token path: (first raw label, every code seen)
+    for pairs, source in ((corpus_pairs, corpus), (list_pairs, term_list)):
+        for label, code in pairs:
+            path = tokenize(label, cfg).tokens
+            if not label or not code or not path:
+                skipped += 1
+                continue
+            source.setdefault(path, (label, []))[1].append(code)
+    terms = {}
+    conflicts = 0
+    for path in set(corpus) | set(term_list):
+        label, seen = corpus[path] if path in corpus else term_list[path]
+        best = max(sorted(set(seen)), key=seen.count)  # max keeps the first, smallest, of a tie
+        terms[path] = (label, best)
+        both = corpus.get(path, ("", []))[1] + term_list.get(path, ("", []))[1]
+        conflicts += len(set(both)) > 1
+    codes_used = {code for _, code in terms.values()}
+    return terms, BuildReport(len(terms), len(codes_used), conflicts, skipped)

@@ -20,8 +20,7 @@ from termcoder import (
     evaluate,
 )
 from termcoder.cli import main
-from termcoder.coder import build_dictionary_from_corpus, resolve_code
-from termcoder.corpus import CorpusRecord
+from termcoder.coder import resolve_code, tally_terms
 from termcoder.matcher import levenshtein_distance
 from termcoder.normalize import default_stopwords, normalize_text
 from termcoder.trie import Term
@@ -84,10 +83,9 @@ def test_criterion_3_most_frequent_code_wins():
             + [("avc", "Z915")] * 1
             + [("avc", "I489")] * 1
         )
-        records = [CorpusRecord("d", str(i), s, s, c) for i, (s, c) in enumerate(rows)]
-        table = build_dictionary_from_corpus(records)
-        assert table.counts["avc"]["I640"] == 1635
-        assert resolve_code(table, "avc") == "I640"
+        table = tally_terms(rows)
+        assert table.counts[("avc",)]["I640"] == 1635
+        assert resolve_code(table, ("avc",)) == "I640"
 
 
 def test_criterion_4_metric_identity():
@@ -350,13 +348,8 @@ def test_criterion_8c_annotations_nonoverlapping_and_deterministic(entries, toke
     )
 )
 def test_criterion_8d_resolved_code_is_argmax(counts):
-    records = [
-        CorpusRecord("d", str(i), "fievre", "fievre", code)
-        for i, (code, n) in enumerate(sorted(counts.items()))
-        for _ in range(n)
-    ]
-    table = build_dictionary_from_corpus(records)
-    resolved = resolve_code(table, "fievre")
+    table = tally_terms([("fievre", code) for code, n in sorted(counts.items()) for _ in range(n)])
+    resolved = resolve_code(table, ("fievre",))
     top = max(counts.values())
     assert counts[resolved] == top
     assert resolved == min(code for code, n in counts.items() if n == top)

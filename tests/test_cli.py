@@ -276,6 +276,25 @@ class TestEval:
         assert rc == 0
         assert "precision 0.667 recall 0.500 f 0.571" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("d1;2", "annotation row 2: no start_char cell"),
+            ("d1;2;0;x3;XXX;xxx;A2;perfect", "annotation row 2: end_char 'x3' is not an integer"),
+        ],
+        ids=["truncated", "non-integer"],
+    )
+    def test_malformed_pred_row_fails(self, tmp_path, capsys, row, message):
+        gold = tmp_path / "gold.csv"
+        write_rows(gold, ["d1;1;W;w;A1"])
+        pred = tmp_path / "pred.csv"
+        self._write_pred(pred, [("d1", "1", "A1")])
+        with pred.open("a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred}, {message}")
+
     def test_unparseable_gold_fails(self, tmp_path, capsys):
         gold = tmp_path / "gold.csv"
         gold.write_text("not;the;right;header\n", encoding="utf-8")

@@ -1,5 +1,8 @@
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termcoder import (
@@ -8,12 +11,9 @@ from termcoder import (
     NormalizationConfig,
     assemble_dictionary,
 )
-from termcoder.coder import build_dictionary_from_corpus, resolve_code
-from termcoder.corpus import CorpusRecord
+from termcoder.coder import resolve_code, tally_terms
 
-
-def record(standard, code, doc="d1", line="1"):
-    return CorpusRecord(doc, line, standard or "", standard, code)
+from helpers import reference_dictionary
 
 
 AMBIGUOUS_AVC = (
@@ -28,56 +28,53 @@ AMBIGUOUS_AVC = (
 
 class TestFrequencyTable:
     def test_counts_per_key_and_code(self):
-        records = [record(s, c) for s, c in AMBIGUOUS_AVC]
-        table = build_dictionary_from_corpus(records)
-        assert table.counts["avc"]["I640"] == 1635
-        assert table.counts["avc"]["I64"] == 260
-        assert table.counts["avc"]["F179"] == 1
+        table = tally_terms(AMBIGUOUS_AVC)
+        assert table.counts[("avc",)]["I640"] == 1635
+        assert table.counts[("avc",)]["I64"] == 260
+        assert table.counts[("avc",)]["F179"] == 1
 
     def test_empty_records(self):
-        assert build_dictionary_from_corpus([]).counts == {}
+        assert tally_terms([]).counts == {}
 
     def test_distinct_keys(self):
-        records = [record("syndrome glissement", "R453"), record("grabatisation 2 mois", "R263")]
-        table = build_dictionary_from_corpus(records)
-        assert set(table.counts) == {"syndrome glissement", "grabatisation 2 mois"}
-        assert table.counts["grabatisation 2 mois"] == {"R263": 1}
+        table = tally_terms([("syndrome glissement", "R453"), ("grabatisation 2 mois", "R263")])
+        assert set(table.counts) == {("syndrome", "glissement"), ("grabatisation", "2", "mois")}
+        assert table.counts[("grabatisation", "2", "mois")] == {"R263": 1}
 
     def test_rows_without_standard_or_code_are_skipped(self):
-        records = [
-            record(None, "R453"),
-            record("syndrome glissement", None),
-            record("de", "R453"),  # normalizes to nothing: only stopwords
-            record("asthme", "J459"),
+        pairs = [
+            ("", "R453"),
+            ("syndrome glissement", ""),
+            ("de", "R453"),  # normalizes to nothing: only stopwords
+            ("asthme", "J459"),
         ]
-        table = build_dictionary_from_corpus(records)
-        assert set(table.counts) == {"asthme"}
+        table = tally_terms(pairs)
+        assert set(table.counts) == {("asthme",)}
         assert table.skipped_rows == 3
 
     def test_key_is_normalized_token_path(self):
-        table = build_dictionary_from_corpus([record("Syndrome DE Glissement", "R453")])
-        assert set(table.counts) == {"syndrome glissement"}
-        assert table.labels["syndrome glissement"] == "Syndrome DE Glissement"
+        table = tally_terms([("Syndrome DE Glissement", "R453")])
+        assert set(table.counts) == {("syndrome", "glissement")}
+        assert table.labels[("syndrome", "glissement")] == "Syndrome DE Glissement"
 
 
 class TestResolveCode:
     def test_most_frequent_wins(self):
-        table = build_dictionary_from_corpus([record(s, c) for s, c in AMBIGUOUS_AVC])
-        assert resolve_code(table, "avc") == "I640"
+        table = tally_terms(AMBIGUOUS_AVC)
+        assert resolve_code(table, ("avc",)) == "I640"
 
     def test_single_code(self):
-        table = build_dictionary_from_corpus([record("asthme", "J459")])
-        assert resolve_code(table, "asthme") == "J459"
+        table = tally_terms([("asthme", "J459")])
+        assert resolve_code(table, ("asthme",)) == "J459"
 
     def test_tie_breaks_to_smallest_code(self):
-        rows = [record("x", "B20")] * 5 + [record("x", "A10")] * 5
-        table = build_dictionary_from_corpus(rows)
-        assert resolve_code(table, "x") == "A10"
+        table = tally_terms([("x", "B20")] * 5 + [("x", "A10")] * 5)
+        assert resolve_code(table, ("x",)) == "A10"
 
     def test_missing_key(self):
-        table = build_dictionary_from_corpus([])
+        table = tally_terms([])
         with pytest.raises(KeyError, match="no codes recorded"):
-            resolve_code(table, "avc")
+            resolve_code(table, ("avc",))
 
     @given(
         st.dictionaries(
@@ -88,9 +85,8 @@ class TestResolveCode:
         )
     )
     def test_resolved_count_is_maximal(self, counts):
-        rows = [record("key", code) for code, n in counts.items() for _ in range(n)]
-        table = build_dictionary_from_corpus(rows)
-        resolved = resolve_code(table, "key")
+        table = tally_terms([("key", code) for code, n in counts.items() for _ in range(n)])
+        resolved = resolve_code(table, ("key",))
         top = max(counts.values())
         assert counts[resolved] == top
         assert resolved == min(c for c, n in counts.items() if n == top)
@@ -201,5 +197,31 @@ class TestAssemble:
 
 def test_custom_stopwords_affect_keys():
     cfg = NormalizationConfig(stopwords=frozenset({"syndrome"}))
-    table = build_dictionary_from_corpus([record("syndrome glissement", "R453")], cfg)
-    assert set(table.counts) == {"glissement"}
+    table = tally_terms([("syndrome glissement", "R453")], cfg)
+    assert set(table.counts) == {("glissement",)}
+
+
+# Words that differ only in case, accents or stopwords; "asthme" appears in
+# the term lists alone, so some paths exist only there.
+CORPUS_WORDS = ["avc", "AVC", "Avc", "fièvre", "fievre", "FIÈVRE", "de", "la", "insuffisance", "aigüe"]
+LIST_WORDS = CORPUS_WORDS + ["asthme", "Asthme"]
+CODES = ["", "A1", "I50", "I509", "J459"]
+
+
+def labelled_pairs(words):
+    label = st.lists(st.sampled_from(words), max_size=3).map(" ".join)  # [] is the empty label
+    return st.lists(st.tuples(label, st.sampled_from(CODES)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_pairs(CORPUS_WORDS), labelled_pairs(LIST_WORDS))
+def test_build_matches_reference(corpus_rows, list_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, terms = Path(tmp) / "train.csv", Path(tmp) / "icd.csv"
+        write_corpus(corpus, corpus_rows)
+        write_terms(terms, list_rows)
+        spec = DictionarySpec(corpus_sources=(corpus,), external_term_lists=(terms,))
+        trie, report = assemble_dictionary(spec)
+    want_terms, want_report = reference_dictionary(corpus_rows, list_rows, NormalizationConfig())
+    assert {t.tokens: (t.label, t.code) for t in trie.iter_terms()} == want_terms
+    assert report == want_report

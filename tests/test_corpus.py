@@ -66,6 +66,27 @@ class TestParseAlignedCauses:
         with pytest.raises(CorpusFormatError, match="StandardText"):
             parse_aligned_causes(path)
 
+    def test_empty_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        assert parse_aligned_causes(path) == []
+        assert read_term_list(path) == []
+        assert read_annotation_rows(path) == []
+
+    def test_blank_rows_skipped_and_short_rows_padded(self, tmp_path, caplog):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "DocID;LineID;RawText;StandardText;ICD10\n\ndoc1;1;DECES\n\ndoc1;2\n",
+            encoding="utf-8",
+        )
+        # a short row's missing cells read as None: no standard text and no
+        # code in the first row, no raw text (so a malformed row) in the second;
+        # blank rows are neither records nor malformed
+        with caplog.at_level("WARNING"):
+            records = parse_aligned_causes(path)
+        assert records == [CorpusRecord("doc1", "1", "DECES", None, None)]
+        assert "skipped 1 malformed rows" in caplog.text
+
     def test_malformed_rows_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "corpus.csv"
         path.write_text(

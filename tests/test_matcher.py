@@ -88,6 +88,12 @@ class TestExpandAbbreviation:
         with pytest.raises(ValueError, match="single token"):
             AbbreviationTable.build({"a b": "whatever"})
 
+    @pytest.mark.parametrize("short", ["i\u00a0r", "i\tr"], ids=["no-break space", "tab"])
+    def test_short_form_split_by_other_whitespace_rejected(self, short):
+        # tokenize splits on these too, so no input token could ever match the entry
+        with pytest.raises(ValueError, match="single token"):
+            AbbreviationTable.build({short: "insuffisance renale"})
+
 
 class TestMatchToken:
     def test_abbreviation_advances_one_level(self):
