@@ -25,12 +25,7 @@ from .corpus import (
     read_annotation_rows,
     write_annotations,
 )
-from .matcher import (
-    DEFAULT_FUZZY_MIN_LENGTH,
-    DEFAULT_MAX_DISTANCE,
-    default_abbreviations,
-    load_abbreviations,
-)
+from .matcher import DEFAULT_FUZZY_MIN_LENGTH, DEFAULT_MAX_DISTANCE, load_abbreviations
 from .normalize import NormalizationConfig, load_stopwords
 
 logger = logging.getLogger(__name__)
@@ -53,16 +48,20 @@ def _int_at_least(low: int):
 
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("CSV format")
-    group.add_argument("--delimiter", default=";", help="CSV delimiter (default: ';')")
-    group.add_argument("--col-doc", default="DocID", help="document id column")
-    group.add_argument("--col-line", default="LineID", help="line id column")
-    group.add_argument("--col-raw", default="RawText", help="raw text column")
-    group.add_argument("--col-standard", default="StandardText", help="standard text column")
-    group.add_argument("--col-code", default="ICD10", help="code column")
+    group.add_argument(
+        "--delimiter", default=CorpusFormat.delimiter, help="CSV delimiter (default: %(default)r)"
+    )
+    group.add_argument("--col-doc", default=CorpusFormat.col_doc, help="document id column")
+    group.add_argument("--col-line", default=CorpusFormat.col_line, help="line id column")
+    group.add_argument("--col-raw", default=CorpusFormat.col_raw, help="raw text column")
+    group.add_argument("--col-standard", default=CorpusFormat.col_standard, help="standard text column")
+    group.add_argument("--col-code", default=CorpusFormat.col_code, help="code column")
 
 
 def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("dictionary sources")
+    group = parser.add_argument_group(
+        "dictionary sources", "Term list columns are names, or 0-based indexes when both are digits."
+    )
     group.add_argument(
         "--corpus",
         action="append",
@@ -79,11 +78,9 @@ def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
         metavar="CSV",
         help="external label/code term list, merged into the corpus terms (repeatable)",
     )
+    group.add_argument("--col-label", default=TermListFormat.label_column, help="term list label column")
     group.add_argument(
-        "--col-label", default="label", help="term list label column (name or 0-based index)"
-    )
-    group.add_argument(
-        "--col-term-code", default="code", help="term list code column (name or 0-based index)"
+        "--col-term-code", default=TermListFormat.code_column, help="term list code column"
     )
     group.add_argument("--stopwords", type=Path, help="stopword file (default: built-in list)")
 
@@ -132,9 +129,7 @@ def _dictionary_spec(args: argparse.Namespace) -> DictionarySpec:
 
 
 def _normalization(args: argparse.Namespace) -> NormalizationConfig:
-    if args.stopwords:
-        return NormalizationConfig(stopwords=load_stopwords(args.stopwords))
-    return NormalizationConfig()
+    return NormalizationConfig(stopwords=load_stopwords(args.stopwords))
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -145,10 +140,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     cfg = _normalization(args)
-    if args.abbreviations:
-        abbrevs = load_abbreviations(args.abbreviations, cfg)
-    else:
-        abbrevs = default_abbreviations(cfg)
+    abbrevs = load_abbreviations(args.abbreviations, cfg)
     trie, report = assemble_dictionary(_dictionary_spec(args), cfg)
     logger.info("dictionary ready: %s", report.summary())
 

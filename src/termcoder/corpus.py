@@ -2,9 +2,9 @@
 
 The corpus layout pairs a physician's raw text line with the human coder's
 standard text and its code; the same raw line repeats once per assigned
-code. Corpus files, named-column term lists and annotation CSVs share one
-header-checked column reader. Evaluation compares (document, line, code)
-tuples pooled over the whole corpus.
+code. Corpus files, term lists and annotation CSVs share one column
+reader. Evaluation compares (document, line, code) tuples pooled over the
+whole corpus.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class CorpusFormat:
 class TermListFormat:
     """Column selection for external label/code term lists.
 
-    Columns are named, or 0-based indexes when both values are digits (the
-    file is then read without a header row).
+    Columns are named, or 0-based indexes when both values are digits. The
+    file then has no header row: every row is data, a header row included.
     """
 
     delimiter: str = ";"
@@ -64,22 +64,27 @@ class CorpusRecord:
 def _read_columns(
     path: PathArg, delimiter: str, columns: tuple[str, ...]
 ) -> Iterator[tuple[str | None, ...]]:
-    """Yield the cells under *columns* (two or more) of each row of a headed CSV.
+    """Yield the cells under *columns* (two or more) of each row of a CSV.
 
-    The file is read as ``utf-8-sig``. An empty file yields no rows, blank
-    rows are skipped, a short row's missing cells read as None, and a
-    column absent from the header raises :class:`CorpusFormatError`.
+    Columns are header names, or 0-based positions when every one is digits;
+    the file then has no header row and every row is data. The file is read
+    as ``utf-8-sig``. An empty file yields no rows, blank rows are skipped, a
+    short row's missing cells read as None, and a named column absent from
+    the header raises :class:`CorpusFormatError`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            return
-        position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-        for col in columns:
-            if col not in position:
-                raise CorpusFormatError(f"column {col!r} not found in {path} (header: {header})")
-        at = [position[col] for col in columns]
+        if all(col.isdecimal() for col in columns):  # not isdigit(): int() cannot read "²"
+            at = [int(col) for col in columns]
+        else:
+            header = next(reader, None)
+            if header is None:
+                return
+            position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            for col in columns:
+                if col not in position:
+                    raise CorpusFormatError(f"column {col!r} not found in {path} (header: {header})")
+            at = [position[col] for col in columns]
         pick, width = itemgetter(*at), max(at) + 1
         for row in filter(None, reader):  # blank rows are skipped, as DictReader does
             yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
@@ -108,23 +113,13 @@ def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> l
 
 
 def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> list[tuple[str, str]]:
-    """Read (label, code) pairs from an external term list CSV."""
-    if not (fmt.label_column.isdigit() and fmt.code_column.isdigit()):
-        columns = (fmt.label_column, fmt.code_column)
-        rows = _read_columns(path, fmt.delimiter, columns)
-        return [(label or "", code or "") for label, code in rows]
-    label_at, code_at = int(fmt.label_column), int(fmt.code_column)
-    pairs: list[tuple[str, str]] = []
-    skipped = 0
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.reader(fh, delimiter=fmt.delimiter):
-            if max(label_at, code_at) >= len(row):
-                skipped += 1
-                continue
-            pairs.append((row[label_at], row[code_at]))
-    if skipped:
-        logger.warning("skipped %d short rows in %s", skipped, path)
-    return pairs
+    """Read stripped (label, code) pairs from an external term list CSV.
+
+    A cell missing from a short row reads as ``""``, so the dictionary build
+    counts the row as skipped.
+    """
+    rows = _read_columns(path, fmt.delimiter, (fmt.label_column, fmt.code_column))
+    return [((label or "").strip(), (code or "").strip()) for label, code in rows]
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,15 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
-from importlib import resources
 from operator import itemgetter
 from os import PathLike
 from typing import Iterable, Iterator
 
-from .normalize import NormalizationConfig, normalize_text, tokenize
+from .normalize import NormalizationConfig, _read_word_list, normalize_text, tokenize
 from .trie import TrieNode
 
 DEFAULT_MAX_DISTANCE = 1
 DEFAULT_FUZZY_MIN_LENGTH = 5
-
-_ABBREVIATIONS_RESOURCE = "abbreviations_fr.txt"
 
 
 class MatchTechnique(enum.IntEnum):
@@ -67,7 +63,9 @@ class AbbreviationTable:
         """Build from ``{short form: expansion or [expansions, ...]}``.
 
         Both sides are normalized with *cfg*; an entry expanding to itself
-        is dropped (it would be a no-op masquerading as a technique).
+        is dropped (it would be a no-op masquerading as a technique). A short
+        form that is not one token, or is a stopword, raises ``ValueError``:
+        no input token could ever match it.
         """
         cfg = cfg or NormalizationConfig()
         entries: dict[str, list[tuple[str, ...]]] = {}
@@ -75,6 +73,8 @@ class AbbreviationTable:
             short = normalize_text(key).strip()
             if short.split() != [short]:  # tokenize splits on every kind of space
                 raise ValueError(f"abbreviation {key!r} must normalize to a single token")
+            if short in cfg.stopwords:
+                raise ValueError(f"abbreviation {key!r} is a stopword")
             raw_expansions = [value] if isinstance(value, str) else list(value)
             for raw in raw_expansions:
                 expansion = tokenize(raw, cfg).tokens
@@ -89,43 +89,21 @@ class AbbreviationTable:
 EMPTY_ABBREVIATIONS = AbbreviationTable()
 
 
-def _parse_abbreviation_lines(
-    lines: Iterable[str], cfg: NormalizationConfig | None, source: str
+def load_abbreviations(
+    path: str | PathLike[str] | None = None, cfg: NormalizationConfig | None = None
 ) -> AbbreviationTable:
+    """Read ``short=expansion words`` lines (None: the built-in nine); ``#`` comments ignored.
+
+    A line without a short form or an expansion raises ``ValueError``
+    naming ``path:lineno``.
+    """
     mapping: dict[str, list[str]] = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for where, line in _read_word_list(path, "abbreviations_fr.txt"):
         short, sep, expansion = line.partition("=")
         if not sep or not short.strip() or not expansion.strip():
-            raise ValueError(f"{source}:{lineno}: expected 'short=expansion words'")
+            raise ValueError(f"{where}: expected 'short=expansion words'")
         mapping.setdefault(short.strip(), []).append(expansion.strip())
     return AbbreviationTable.build(mapping, cfg)
-
-
-def load_abbreviations(
-    path: str | PathLike[str], cfg: NormalizationConfig | None = None
-) -> AbbreviationTable:
-    """Read ``short=expansion words`` lines; ``#`` comments ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return _parse_abbreviation_lines(fh, cfg, str(path))
-
-
-@lru_cache(maxsize=4)
-def _default_abbreviations(cfg: NormalizationConfig) -> AbbreviationTable:
-    text = (
-        resources.files("termcoder")
-        .joinpath("data")
-        .joinpath(_ABBREVIATIONS_RESOURCE)
-        .read_text("utf-8")
-    )
-    return _parse_abbreviation_lines(text.splitlines(), cfg, _ABBREVIATIONS_RESOURCE)
-
-
-def default_abbreviations(cfg: NormalizationConfig | None = None) -> AbbreviationTable:
-    """The built-in clinical short-form table (nine entries)."""
-    return _default_abbreviations(cfg or NormalizationConfig())
 
 
 def levenshtein_distance(a: str, b: str) -> int:

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from os import PathLike
-from typing import Iterable
-
-_STOPWORDS_RESOURCE = "stopwords_fr.txt"
+from pathlib import Path
+from typing import Iterator
 
 
 @lru_cache(maxsize=8192)
@@ -40,31 +39,37 @@ def normalize_text(raw: str) -> str:
     return "".join(map(_char_fragment, raw))
 
 
-def _parse_stopword_lines(lines: Iterable[str]) -> frozenset[str]:
-    words: set[str] = set()
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.update(normalize_text(line).split())
-    return frozenset(words)
+def _read_word_list(path: str | PathLike[str] | None, resource: str) -> Iterator[tuple[str, str]]:
+    """Yield ``("source:lineno", line)`` for the stripped lines of a UTF-8 word list.
 
-
-def load_stopwords(path: str | PathLike[str]) -> frozenset[str]:
-    """Read a stopword file: one token per line, ``#`` comments ignored.
-
-    Entries are normalized on load so that membership tests against
-    normalized tokens always work.
+    *path* None reads the packaged ``data/<resource>``. Blank lines and
+    ``#`` comment lines are skipped.
     """
-    with open(path, encoding="utf-8") as fh:
-        return _parse_stopword_lines(fh)
+    if path is None:
+        source, file = resource, resources.files("termcoder").joinpath("data").joinpath(resource)
+    else:
+        source, file = path, Path(path)
+    with file.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield f"{source}:{lineno}", line
+
+
+def load_stopwords(path: str | PathLike[str] | None = None) -> frozenset[str]:
+    """Read a stopword file, or the built-in list when *path* is None.
+
+    One token per line, ``#`` comments ignored. Entries are normalized on
+    load so that membership tests against normalized tokens always work.
+    """
+    lines = _read_word_list(path, "stopwords_fr.txt")
+    return frozenset(word for _, line in lines for word in normalize_text(line).split())
 
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
-    """The built-in French function-word list (25 entries)."""
-    text = resources.files("termcoder").joinpath("data").joinpath(_STOPWORDS_RESOURCE).read_text("utf-8")
-    return _parse_stopword_lines(text.splitlines())
+    """The built-in French function-word list (25 entries), read once."""
+    return load_stopwords()
 
 
 @dataclass(frozen=True)

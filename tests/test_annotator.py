@@ -8,8 +8,8 @@ from termcoder.annotator import MatchState, advance_states, annotate_line, selec
 from termcoder.matcher import (
     AbbreviationTable,
     MatchTechnique,
-    default_abbreviations,
     levenshtein_distance,
+    load_abbreviations,
     match_token,
 )
 from termcoder.normalize import tokenize
@@ -157,7 +157,7 @@ class TestScanningBehavior:
 
     def test_multi_token_abbreviation_span(self):
         trie = build_trie({"accident vasculaire cerebral": "I64"})
-        anns = annotate_line("AVC massif", trie, abbrevs=default_abbreviations())
+        anns = annotate_line("AVC massif", trie, abbrevs=load_abbreviations())
         assert len(anns) == 1
         ann = anns[0]
         assert ann.matched_tokens == ("avc",)

@@ -1,9 +1,10 @@
 import json
 import logging
+from importlib import resources
 
 import pytest
 
-from termcoder import evaluate
+from termcoder import DictionarySpec, assemble_dictionary, evaluate
 from termcoder.cli import main
 from termcoder.corpus import gold_code_tuples, parse_aligned_causes, predicted_code_tuples, read_annotation_rows
 
@@ -67,6 +68,27 @@ class TestBuild:
         rc = main(["build", "--corpus", str(corpus), "--terms", str(terms)])
         assert rc == 0
         assert "terms=2 codes=2 conflicts=1" in capsys.readouterr().out
+
+    def test_term_list_cells_stripped_before_conflict_count(self, tmp_path, capsys):
+        corpus = tmp_path / "train.csv"
+        terms = tmp_path / "icd.csv"
+        write_rows(corpus, ["d1;1;AVC;avc;I640"])
+        terms.write_text("label;code\navc; I640\nasthme;J459 \n", encoding="utf-8")
+        assert main(["build", "--corpus", str(corpus), "--terms", str(terms)]) == 0
+        assert "terms=2 codes=2 conflicts=0 skipped=0" in capsys.readouterr().out
+        trie, _ = assemble_dictionary(DictionarySpec((corpus,), (terms,)))
+        assert trie.lookup_path(("asthme",)).terminal.code == "J459"
+
+    def test_index_term_list_short_row_counts_as_skipped(self, tmp_path, capsys):
+        corpus = tmp_path / "train.csv"
+        terms = tmp_path / "icd.csv"
+        write_rows(corpus, ["d1;1;AVC;avc;I640"])
+        terms.write_text("asthme;J459\ndeces\n\ninfarctus;I219\n", encoding="utf-8")
+        argv = ["build", "--corpus", str(corpus), "--terms", str(terms), "--col-label", "0", "--col-term-code", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "terms=3 codes=3 conflicts=0 skipped=1" in captured.out
+        assert captured.err == ""
 
 
 class TestAnnotate:
@@ -159,6 +181,21 @@ class TestAnnotate:
         rows = read_annotation_rows(out_file)
         assert [r.code for r in rows] == ["S720"]
         assert rows[0].techniques == ("abbreviation", "perfect")
+
+    def test_built_in_lists_equal_explicit_copies(self, tmp_path, heart_corpus):
+        data = resources.files("termcoder").joinpath("data")
+        for name in ("stopwords_fr.txt", "abbreviations_fr.txt"):
+            (tmp_path / name).write_text(data.joinpath(name).read_text("utf-8"), encoding="utf-8")
+        test_file = tmp_path / "test.csv"
+        write_rows(test_file, ["doc1;1;INS CARDIAQU AIGUE ET DE LA INS RESPIRATOIRE;;"])
+        base = ["annotate", "--corpus", str(heart_corpus), "--input", str(test_file)]
+        explicit = ["--stopwords", str(tmp_path / "stopwords_fr.txt")]
+        explicit += ["--abbreviations", str(tmp_path / "abbreviations_fr.txt")]
+        assert main([*base, "--output", str(tmp_path / "default.csv")]) == 0
+        assert main([*base, "--output", str(tmp_path / "explicit.csv"), *explicit]) == 0
+        default_csv = (tmp_path / "default.csv").read_bytes()
+        assert default_csv == (tmp_path / "explicit.csv").read_bytes()
+        assert [r.code for r in read_annotation_rows(tmp_path / "default.csv")] == ["I509", "J969"]
 
     def test_max_dist_zero_disables_fuzzy(self, tmp_path, heart_corpus):
         test_file = tmp_path / "test.csv"

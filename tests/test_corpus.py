@@ -134,6 +134,40 @@ class TestReadTermList:
         with pytest.raises(CorpusFormatError, match="code"):
             read_term_list(path)
 
+    def test_cells_are_stripped(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        path.write_text("label;code\n avc ; I640\nasthme;J459 \n", encoding="utf-8")
+        assert read_term_list(path) == [("avc", "I640"), ("asthme", "J459")]
+
+    def test_index_columns_short_row_reads_empty_and_blank_row_skipped(self, tmp_path, caplog):
+        path = tmp_path / "terms.csv"
+        path.write_text("J459;asthme\nI640\n\nR99;deces\n", encoding="utf-8")
+        fmt = TermListFormat(label_column="1", code_column="0")
+        assert read_term_list(path, fmt) == [("asthme", "J459"), ("", "I640"), ("deces", "R99")]
+        assert caplog.text == ""
+
+    def test_index_columns_byte_order_mark(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        path.write_text("\ufeffasthme;J459\n", encoding="utf-8")
+        fmt = TermListFormat(label_column="0", code_column="1")
+        assert read_term_list(path, fmt) == [("asthme", "J459")]
+
+    def test_index_columns_read_a_header_row_as_data(self, tmp_path):
+        path = tmp_path / "terms.csv"
+        path.write_text("label;code\nasthme;J459\n", encoding="utf-8")
+        fmt = TermListFormat(label_column="0", code_column="1")
+        assert read_term_list(path, fmt) == [("label", "code"), ("asthme", "J459")]
+
+    @pytest.mark.parametrize(
+        "label_column, code_column", [("1", "code"), ("\u00b2", "1")], ids=["one index", "superscript"]
+    )
+    def test_non_index_column_is_looked_up_by_name(self, tmp_path, label_column, code_column):
+        path = tmp_path / "terms.csv"
+        path.write_text("label;code\nasthme;J459\n", encoding="utf-8")
+        fmt = TermListFormat(label_column=label_column, code_column=code_column)
+        with pytest.raises(CorpusFormatError, match=f"{label_column!r} not found"):
+            read_term_list(path, fmt)
+
 
 class TestEvaluate:
     def test_identity(self):

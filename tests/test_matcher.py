@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,11 @@ from termcoder.matcher import (
     EMPTY_ABBREVIATIONS,
     AbbreviationTable,
     MatchTechnique,
-    default_abbreviations,
     levenshtein_distance,
+    load_abbreviations,
     match_token,
 )
+from termcoder.normalize import NormalizationConfig, default_stopwords
 from termcoder.trie import DictionaryTrie, Term
 
 from helpers import (
@@ -70,19 +72,41 @@ class TestExpandAbbreviation:
         assert table.expansions("cardiaque") == ()
 
     def test_default_table_multi_token_expansion(self):
-        table = default_abbreviations()
+        table = load_abbreviations()
         assert table.expansions("avc") == (("accident", "vasculaire", "cerebral"),)
 
     def test_default_table_has_nine_entries(self):
-        assert len(default_abbreviations().entries) == 9
+        assert len(load_abbreviations().entries) == 9
 
     def test_self_expansion_dropped(self):
         table = AbbreviationTable.build({"avc": "avc"})
         assert table.expansions("avc") == ()
 
     def test_expansion_is_stopword_filtered(self):
-        table = default_abbreviations()
+        table = load_abbreviations()
         assert table.expansions("idm") == (("infarctus", "myocarde"),)
+
+    def test_built_in_short_forms(self):
+        shorts = {"ins", "avc", "oap", "idm", "bpco", "hta", "irc", "ira", "fa"}
+        assert load_abbreviations().entries.keys() == shorts
+        assert not shorts & default_stopwords()
+
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "abbrev.txt"
+        path.write_text("# comment\n\nins=insuffisance\navc accident\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: expected 'short=expansion words'")):
+            load_abbreviations(path)
+
+    @pytest.mark.parametrize("short", ["de", "d'"])
+    def test_stopword_short_form_rejected(self, short):
+        # tokenize drops a stopword, so no input token could ever match the entry
+        with pytest.raises(ValueError, match="stopword"):
+            AbbreviationTable.build({short: "insuffisance cardiaque"})
+
+    def test_short_form_accepted_when_not_a_stopword(self):
+        cfg = NormalizationConfig(stopwords=default_stopwords() - {"de"})
+        table = AbbreviationTable.build({"de": "insuffisance cardiaque"}, cfg)
+        assert table.expansions("de") == (("insuffisance", "cardiaque"),)
 
     def test_multi_word_short_form_rejected(self):
         with pytest.raises(ValueError, match="single token"):
@@ -151,7 +175,7 @@ class TestMatchToken:
 
     def test_multi_token_abbreviation_walks_whole_expansion(self):
         trie = build_trie({"accident vasculaire cerebral": "I64"})
-        matches = match_token("avc", trie.root, default_abbreviations(), 1)
+        matches = match_token("avc", trie.root, load_abbreviations(), 1)
         assert len(matches) == 1
         assert matches[0].technique is MatchTechnique.ABBREVIATION
         assert matches[0].target_node.terminal.code == "I64"

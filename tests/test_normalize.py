@@ -130,6 +130,9 @@ class TestStopwords:
         assert "" not in stopwords
         assert "cardiaque" not in stopwords
 
+    def test_load_stopwords_without_path_reads_built_in_list(self):
+        assert load_stopwords() == default_stopwords()
+
     def test_load_stopwords_normalizes_and_skips_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nDès\n\npour\n", encoding="utf-8")
