@@ -14,6 +14,7 @@ leftmost-longest annotation list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matcher import (
     DEFAULT_FUZZY_MIN_LENGTH,
@@ -27,8 +28,7 @@ from .normalize import NormalizationConfig, tokenize
 from .trie import DictionaryTrie, TrieNode
 
 
-@dataclass(frozen=True)
-class MatchState:
+class MatchState(NamedTuple):
     """A live traversal position: trie node and technique trail."""
 
     node: TrieNode
@@ -60,15 +60,43 @@ def advance_states(
     """Advance every state across *input_token*.
 
     Each state forks once per way the token matches from its node, in
-    ``match_token`` order; a state with no match dies.
+    ``match_token`` order; a state with no match dies. Of the successors on
+    one node, only the first with the smallest technique sum is kept, in
+    its place: the others could never be selected (see ``_drop_twins``).
+    Every technique descends at least one trie level, so after the j-th
+    token of a start the pool holds at most one state per node of depth j
+    or more.
     """
-    return [
-        MatchState(match.target_node, state.techniques + (match.technique,))
-        for state in states
+    successors = []  # a loop, not a comprehension: one call fewer per token on CPython 3.11
+    for state in states:
         for match in match_token(
             input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
-        )
-    ]
+        ):
+            successors.append(MatchState(match.target_node, state.techniques + (match.technique,)))
+    return _drop_twins(successors) if len(successors) > 1 else successors
+
+
+def _drop_twins(states: list[MatchState]) -> list[MatchState]:
+    """*states* without each state that shares its node with an earlier state
+    of equal technique sum, or with any state of a smaller one.
+
+    Twins on one node have the same continuations, so each continuation of a
+    dropped twin has a continuation of the kept one beside it, with a sum
+    no larger and on the same term. When the sums are equal, the kept one
+    comes first in every later pool. ``select_longest`` would never pick the
+    dropped one, so the result does not change, and the pool stays bounded
+    by the trie instead of doubling with each ambiguous short form.
+    """
+    best: dict[TrieNode, tuple[int, MatchState]] = {}
+    for state in states:
+        cost = sum(state.techniques)
+        kept = best.get(state.node)
+        if kept is None or cost < kept[0]:
+            best[state.node] = (cost, state)
+    if len(best) == len(states):
+        return states
+    keep = {id(state) for _, state in best.values()}
+    return [state for state in states if id(state) in keep]
 
 
 def select_longest(states: list[MatchState]) -> MatchState | None:
@@ -78,6 +106,9 @@ def select_longest(states: list[MatchState]) -> MatchState | None:
     technique priority sum wins (perfect beats fuzzy), then the smallest
     term label, then the smallest code, then the first state in pool order.
     """
+    if len(states) == 1:
+        (state,) = states
+        return state if state.node.terminal is not None else None
     return min(
         (state for state in states if state.node.terminal is not None),
         key=lambda state: (
@@ -120,9 +151,10 @@ def annotate_line(
     tokens, offsets = text.tokens, text.offsets
 
     annotations: list[Annotation] = []
+    root = [MatchState(trie.root)]  # advance_states never mutates a pool: every start shares it
     start = 0
     while start < len(tokens):
-        states = [MatchState(trie.root)]
+        states = root
         best, end = None, start
         for index in range(start, len(tokens)):
             states = advance_states(

@@ -61,6 +61,18 @@ class CorpusRecord:
     code: str | None = None
 
 
+def _by_position(columns: tuple[str, ...]) -> bool:
+    """Whether *columns* are 0-based positions rather than header names."""
+    return all(col.isdecimal() for col in columns)  # not isdigit(): int() cannot read "²"
+
+
+# The default (label, code) header names of a corpus file and of a term list.
+_DEFAULT_HEADERS = {
+    (CorpusFormat.col_standard, CorpusFormat.col_code),
+    (TermListFormat.label_column, TermListFormat.code_column),
+}
+
+
 def _read_columns(
     path: PathArg, delimiter: str, columns: tuple[str, ...]
 ) -> Iterator[tuple[str | None, ...]]:
@@ -74,7 +86,7 @@ def _read_columns(
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        if all(col.isdecimal() for col in columns):  # not isdigit(): int() cannot read "²"
+        if _by_position(columns):
             at = [int(col) for col in columns]
         else:
             header = next(reader, None)
@@ -116,10 +128,20 @@ def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> lis
     """Read stripped (label, code) pairs from an external term list CSV.
 
     A cell missing from a short row reads as ``""``, so the dictionary build
-    counts the row as skipped.
+    counts the row as skipped. With column indexes, a first row that holds
+    a default header pair (``StandardText``/``ICD10`` or ``label``/``code``)
+    is still read as data, with a warning naming the file.
     """
-    rows = _read_columns(path, fmt.delimiter, (fmt.label_column, fmt.code_column))
-    return [((label or "").strip(), (code or "").strip()) for label, code in rows]
+    columns = (fmt.label_column, fmt.code_column)
+    rows = _read_columns(path, fmt.delimiter, columns)
+    pairs = [((label or "").strip(), (code or "").strip()) for label, code in rows]
+    if pairs and pairs[0] in _DEFAULT_HEADERS and _by_position(columns):
+        logger.warning(
+            "%s: first row %s;%s looks like a header; with column indexes it is read as a term",
+            path,
+            *pairs[0],
+        )
+    return pairs
 
 
 @dataclass(frozen=True)

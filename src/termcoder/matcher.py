@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from os import PathLike
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .normalize import NormalizationConfig, _read_word_list, normalize_text, tokenize
 from .trie import TrieNode
@@ -226,8 +226,7 @@ def _walk(
         stack.extend(reversed(runs))
 
 
-@dataclass(frozen=True)
-class TokenMatch:
+class TokenMatch(NamedTuple):
     """One way an input token can advance from the current node."""
 
     technique: MatchTechnique
@@ -264,6 +263,11 @@ def match_token(
     abbreviations, then child matches in token order, then composed
     matches in (child, grandchild) order.
     """
+    child = node.children.get(input_token)
+    expansions = abbrevs.entries.get(input_token, ())
+    if max_dist == 0 and not expansions:  # the perfect child is the only candidate
+        return [] if child is None else [TokenMatch(MatchTechnique.PERFECT, child)]
+
     found: dict[int, TokenMatch] = {}
 
     def offer(technique: MatchTechnique, target: TrieNode) -> None:
@@ -271,11 +275,10 @@ def match_token(
         if key not in found:  # generation order is priority order
             found[key] = TokenMatch(technique, target)
 
-    child = node.children.get(input_token)
     if child is not None:
         offer(MatchTechnique.PERFECT, child)
 
-    for expansion in abbrevs.expansions(input_token):
+    for expansion in expansions:
         target: TrieNode | None = node
         for token in expansion:
             target = target.children.get(token)

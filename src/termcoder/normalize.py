@@ -11,6 +11,7 @@ report raw-text spans.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -87,9 +88,58 @@ class TokenizedText:
     offsets: tuple[tuple[int, int], ...]
 
 
+# ``_FRAGMENTS`` maps a character to this when its fragment is not exactly one
+# character; no character's fragment is NUL itself (NUL becomes a space).
+_SENTINEL = "\0"
+_TABLE_SIZE = 8192
+_RUN = re.compile(r"\S+")
+
+
+class _FragmentTable(dict):
+    """``str.translate`` table: code point -> one-character fragment or ``_SENTINEL``.
+
+    Filled on demand and emptied when it reaches ``_TABLE_SIZE`` entries,
+    so a text of many distinct characters cannot grow it without bound.
+    Each value depends on its key alone, so threads can share the table: a
+    race only computes an entry twice or empties the table early or late.
+    """
+
+    def __missing__(self, code: int) -> str:
+        frag = _char_fragment(chr(code))
+        value = frag if len(frag) == 1 else _SENTINEL
+        if len(self) >= _TABLE_SIZE:
+            self.clear()
+        self[code] = value
+        return value
+
+
+_FRAGMENTS = _FragmentTable()
+
+
 def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
-    """Split *raw* into normalized, stopword-free tokens with raw-text offsets."""
-    cfg = cfg or NormalizationConfig()
+    """Split *raw* into normalized, stopword-free tokens with raw-text offsets.
+
+    When every character's fragment is one character, the translated text
+    lines up with *raw* and its non-space runs are the tokens and their
+    spans. Otherwise (a bare combining mark, a character that decomposes
+    into several) the per-character loop decides.
+    """
+    stopwords = default_stopwords() if cfg is None else cfg.stopwords
+    text = raw.translate(_FRAGMENTS)
+    if _SENTINEL in text:
+        return _tokenize_loop(raw, stopwords)
+    tokens: list[str] = []
+    offsets: list[tuple[int, int]] = []
+    for run in _RUN.finditer(text):
+        token = run.group()
+        if token not in stopwords:
+            tokens.append(token)
+            offsets.append(run.span())
+    return TokenizedText(tuple(tokens), tuple(offsets))
+
+
+def _tokenize_loop(raw: str, stopwords: frozenset[str]) -> TokenizedText:
+    """``tokenize`` one character at a time, for any fragment length."""
     tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
     parts: list[str] = []
@@ -98,7 +148,7 @@ def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
     def flush() -> None:
         if parts:
             token = "".join(parts)
-            if token not in cfg.stopwords:
+            if token not in stopwords:
                 tokens.append(token)
                 offsets.append((start, end))
             parts.clear()

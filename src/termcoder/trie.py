@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """A dictionary entry: normalized token path, surface label, code."""
 

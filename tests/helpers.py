@@ -1,5 +1,8 @@
 """Shared fixtures and reference implementations for the test suite."""
 
+import unicodedata
+from functools import lru_cache
+
 from termcoder import BuildReport, DictionaryTrie, MatchTechnique, NormalizationConfig
 from termcoder.normalize import tokenize
 from termcoder.trie import Term
@@ -35,6 +38,45 @@ def heart_trie() -> DictionaryTrie:
 
 def composed_trie() -> DictionaryTrie:
     return build_trie(COMPOSED_TERMS)
+
+
+@lru_cache(maxsize=256)  # keeps the characters around a probe; a sweep of every code point stays small
+def _reference_fragment(ch):
+    return "".join(
+        c if c.isspace() or c.isalnum() else " "
+        for c in unicodedata.normalize("NFD", ch.lower())
+        if unicodedata.category(c) != "Mn"
+    )
+
+
+def reference_tokenize(raw, stopwords=frozenset()):
+    """Character-by-character tokenizer oracle, as (tokens, offsets).
+
+    Each character is lowercased and decomposed, its combining marks drop,
+    and what is left must be alphanumeric to extend a token: a character
+    that leaves nothing (a bare combining mark) is passed over, and any
+    other character ends the token. Offsets are [start, end) character
+    indexes into *raw*. This is the tokenizer's per-character loop, written
+    without the library's caches or translate table.
+    """
+    tokens, offsets, parts = [], [], []
+    start = end = 0
+    for i, ch in enumerate(raw + " "):  # the trailing space ends the last token
+        frag = _reference_fragment(ch)
+        if not frag:
+            continue
+        if frag.isalnum():
+            if not parts:
+                start = i
+            parts.append(frag)
+            end = i + 1
+        elif parts:
+            token = "".join(parts)
+            if token not in stopwords:
+                tokens.append(token)
+                offsets.append((start, end))
+            parts = []
+    return tuple(tokens), tuple(offsets)
 
 
 def leftmost_longest_windows(term_paths, tokens):

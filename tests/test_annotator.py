@@ -225,6 +225,22 @@ class TestAdvanceStates:
         assert [h.node.terminal.label for h in hits] == ["insuffisance cardiaque"]
         assert hits[0].techniques == (MatchTechnique.PERFECT,) * 2
 
+    def test_twins_keep_the_smallest_sum_in_its_place(self):
+        # From "x" (sum 2) and from "x y" (sum 1), "t" reaches "x y z" by two
+        # trails: the second, cheaper, twin stays, after the state between them.
+        trie = build_trie({"x y z": "C1", "q z": "C2"})
+        abbrevs = AbbreviationTable.build({"t": ["y z", "z"]}, NO_STOPWORDS)
+        x, q = trie.root.children["x"], trie.root.children["q"]
+        A, L, P = MatchTechnique.ABBREVIATION, MatchTechnique.LEVENSHTEIN, MatchTechnique.PERFECT
+        pool = [MatchState(x, (L,)), MatchState(q, (P,)), MatchState(x.children["y"], (A,))]
+        got = advance_states(pool, "t", abbrevs=abbrevs)
+        assert [(s.node.terminal.code, s.techniques) for s in got] == [("C2", (P, A)), ("C1", (A, A))]
+        # Of twins with equal sums, the first stays.
+        pool = [MatchState(x, (A,)), MatchState(q, (P,)), MatchState(x.children["y"], (A,))]
+        got = advance_states(pool, "t", abbrevs=abbrevs)
+        assert [(s.node.terminal.code, s.techniques) for s in got] == [("C1", (A, A)), ("C2", (P, A))]
+        assert got[0].node is x.children["y"].children["z"]
+
 
 def tie_trie():
     """Four one-token terms: labels "a", "b", "b", "b" with codes C3, C2, C1, C1."""
@@ -383,3 +399,106 @@ def test_matches_brute_force_reference_with_fuzzy_techniques(entries, tokens, fu
         assert [
             (a.start_token, a.end_token, a.term_label, a.code, sum(a.techniques)) for a in got
         ] == reference_annotate(tokens, trie, ABBREV_TABLE, max_dist, fuzzy_min_len)
+
+
+def advance_states_keeping_twins(states, input_token, *, abbrevs, max_dist, fuzzy_min_len):
+    """``advance_states`` without the twin drop: every fork stays in the pool."""
+    return [
+        MatchState(match.target_node, state.techniques + (match.technique,))
+        for state in states
+        for match in match_token(input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len)
+    ]
+
+
+def nodes_at_depth_or_more(trie):
+    """``[n_0, n_1, ...]``: n_j counts the trie nodes at depth j or more (root: 0)."""
+    depths, level = [], [trie.root]
+    while level:
+        depths.append(len(level))
+        level = [child for node in level for child in node.children.values()]
+    return [sum(depths[j:]) for j in range(len(depths))] + [0]
+
+
+def annotate_checking_pools(trie, raw, abbrevs, max_dist):
+    """Annotate *raw*, checking every pool ``advance_states`` returns against
+    the stated bound: after the j-th token of a start, at most one state per
+    node of depth j or more. Returns (annotations, largest pool)."""
+    bound = nodes_at_depth_or_more(trie)
+    advance = advance_states
+    largest = 0
+
+    def checked(states, input_token, **kwargs):
+        nonlocal largest
+        pool = advance(states, input_token, **kwargs)
+        if pool:
+            step = len(pool[0].techniques)
+            assert len({id(state.node) for state in pool}) == len(pool)
+            assert len(pool) <= bound[min(step, len(bound) - 1)]
+            largest = max(largest, len(pool))
+        return pool
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("termcoder.annotator.advance_states", checked)
+        anns = annotate_line(raw, trie, NO_STOPWORDS, abbrevs, max_dist)
+    return anns, largest
+
+
+def keeping_twins(trie, raw, abbrevs, max_dist):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("termcoder.annotator.advance_states", advance_states_keeping_twins)
+        return annotate_line(raw, trie, NO_STOPWORDS, abbrevs, max_dist)
+
+
+class TestBoundedPool:
+    def test_repeated_ambiguous_short_form(self):
+        # "s" reaches depth k and k + 1 from depth k: kept twins double the
+        # pool with each token (1,024 states by the tenth), on a 17-node trie.
+        trie = build_trie({" ".join(["a"] * depth): f"C{depth}" for depth in range(1, 17)})
+        abbrevs = AbbreviationTable.build({"s": ["a", "a a"]}, NO_STOPWORDS)
+        raw = " ".join(["s"] * 16)
+        anns, largest = annotate_checking_pools(trie, raw, abbrevs, 0)
+        assert largest <= 16
+        assert anns == keeping_twins(trie, raw, abbrevs, 0)
+        assert [(a.end_token, a.code) for a in anns] == [(15, "C16")]
+
+
+adversarial_vocab = ["alpha", "alpho", "alphe", "beta"]  # one-edit forks of one token
+
+
+@st.composite
+def adversarial_cases(draw):
+    """Deep terms over a few one-edit-apart tokens, short forms with several
+    multi-token expansions, and lines of repeated, short, composed and
+    one-edit tokens."""
+    word = st.sampled_from(adversarial_vocab)
+    paths = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(tuple), min_size=1, max_size=10))
+    paths += [("alpha",) * depth for depth in range(1, draw(st.integers(1, 6)) + 1)]
+    expansion = st.lists(word, min_size=1, max_size=3).map(" ".join)
+    # "s" covers one to three levels of the "alpha" chain, so a run of "s"
+    # reaches one node along many trails; "alpha" is a child and a short form.
+    chain = draw(st.sets(st.integers(1, 3), min_size=2))
+    mapping = {"s": [" ".join(["alpha"] * m) for m in sorted(chain)]}
+    mapping["t"] = draw(st.lists(expansion, min_size=2, max_size=3))
+    if draw(st.booleans()):
+        mapping["alpha"] = ["alpha alpha"]
+    trie = DictionaryTrie()
+    for i, path in enumerate(dict.fromkeys(paths)):
+        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+    trie.freeze()
+    line_token = st.sampled_from(adversarial_vocab + ["s", "t", "alphu", "alphaalpha", "alphalpho"])
+    repeated = st.tuples(line_token, st.integers(1, 7)).map(lambda pair: [pair[0]] * pair[1])
+    tokens = draw(st.one_of(st.lists(line_token, max_size=7), repeated))
+    return trie, AbbreviationTable.build(mapping, NO_STOPWORDS), tokens
+
+
+@given(case=adversarial_cases())
+@settings(max_examples=100, deadline=None)
+def test_pool_stays_bounded_on_adversarial_lines(case):
+    trie, abbrevs, tokens = case
+    raw = " ".join(tokens)
+    for max_dist in (0, 1, 2):
+        anns, _ = annotate_checking_pools(trie, raw, abbrevs, max_dist)
+        assert [
+            (a.start_token, a.end_token, a.term_label, a.code, sum(a.techniques)) for a in anns
+        ] == reference_annotate(tokens, trie, abbrevs, max_dist, 5)
+        assert anns == keeping_twins(trie, raw, abbrevs, max_dist)

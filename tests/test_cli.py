@@ -90,6 +90,16 @@ class TestBuild:
         assert "terms=3 codes=3 conflicts=0 skipped=1" in captured.out
         assert captured.err == ""
 
+    def test_index_term_list_header_row_warns(self, tmp_path, capsys, caplog):
+        # The corpus file given again as an index-mode term list: its header
+        # row becomes one more term, as documented, and a warning names it.
+        corpus = tmp_path / "train.csv"
+        write_rows(corpus, ["d1;1;AVC;avc;I640", "d2;1;asthme;asthme;J459"])
+        argv = ["build", "--corpus", str(corpus), "--terms", str(corpus)]
+        assert main([*argv, "--col-label", "3", "--col-term-code", "4"]) == 0
+        assert "terms=3 codes=3 conflicts=0 skipped=0" in capsys.readouterr().out
+        assert f"{corpus}: first row StandardText;ICD10 looks like a header" in caplog.text
+
 
 class TestAnnotate:
     def test_typo_and_abbreviation_line(self, tmp_path, heart_corpus, capsys):

@@ -159,6 +159,43 @@ class TestReadTermList:
         assert read_term_list(path, fmt) == [("label", "code"), ("asthme", "J459")]
 
     @pytest.mark.parametrize(
+        "text, columns",
+        [
+            ("DocID;LineID;RawText;StandardText;ICD10\nd1;1;AVC;avc;I640\n", ("3", "4")),
+            ("label;code\navc;I640\n", ("0", "1")),
+            ("code;label\nI640;avc\n", ("1", "0")),
+        ],
+        ids=["corpus header", "term list header", "swapped term list header"],
+    )
+    def test_index_columns_warn_on_a_default_header_row(self, tmp_path, caplog, text, columns):
+        # The first case is a corpus file read as a term list by index, as in
+        # `build --terms train.csv --col-label 3 --col-term-code 4`.
+        path = tmp_path / "train.csv"
+        path.write_text(text, encoding="utf-8")
+        fmt = TermListFormat(label_column=columns[0], code_column=columns[1])
+        pairs = read_term_list(path, fmt)
+        assert pairs[1] == ("avc", "I640")
+        assert pairs[0] in {("StandardText", "ICD10"), ("label", "code")}  # still read as data
+        assert len(caplog.records) == 1
+        assert caplog.records[0].levelname == "WARNING"
+        assert str(path) in caplog.text and "header" in caplog.text
+
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("label;code\nasthme;J459\n", TermListFormat()),
+            ("Label;Code\nasthme;J459\n", TermListFormat(label_column="0", code_column="1")),
+            ("asthme;J459\nlabel;code\n", TermListFormat(label_column="0", code_column="1")),
+        ],
+        ids=["named columns", "other header names", "not the first row"],
+    )
+    def test_no_header_warning(self, tmp_path, caplog, text, fmt):
+        path = tmp_path / "terms.csv"
+        path.write_text(text, encoding="utf-8")
+        read_term_list(path, fmt)
+        assert caplog.text == ""
+
+    @pytest.mark.parametrize(
         "label_column, code_column", [("1", "code"), ("\u00b2", "1")], ids=["one index", "superscript"]
     )
     def test_non_index_column_is_looked_up_by_name(self, tmp_path, label_column, code_column):

@@ -317,6 +317,41 @@ def test_match_token_equals_brute_force_reference(case):
                 assert_matches_reference(trie, table, path, node, probe, max_dist, fuzzy_min_len, paths)
 
 
+@st.composite
+def exact_cases(draw):
+    """A small trie and short forms with one to three multi-token expansions,
+    one short form being a token of the trie as well."""
+    vocab = draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=5, unique=True))
+    term = st.lists(st.sampled_from(vocab), min_size=1, max_size=4).map(tuple)
+    paths = draw(st.lists(term, min_size=1, max_size=8))
+    shorts = [draw(st.sampled_from(vocab))] + draw(st.lists(st.sampled_from(["zq", "zr"]), unique=True))
+    expansion = st.tuples(st.sampled_from(paths), st.integers(1, 4)).map(lambda pair: " ".join(pair[0][: pair[1]]))
+    mapping = {short: draw(st.lists(expansion, min_size=1, max_size=3)) for short in shorts}
+    trie = DictionaryTrie()
+    for i, path in enumerate(dict.fromkeys(paths)):
+        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+    trie.freeze()
+    probes = vocab + shorts + ["zz"]
+    return trie, AbbreviationTable.build(mapping, NO_STOPWORDS), probes
+
+
+@given(exact_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_match_token_equals_brute_force_reference(case):
+    # max_dist 0: the early return for a token without expansions, and the
+    # full candidate merge for a short form, whether or not it is a child too.
+    trie, table, probes = case
+    nodes = node_paths(trie)
+    paths = {id(node): path for path, node in nodes}
+    for path, node in nodes:
+        for probe in probes:
+            assert_matches_reference(trie, table, path, node, probe, 0, 1, paths)
+            if not table.expansions(probe):
+                child = node.children.get(probe)
+                got = match_token(probe, node, table, max_dist=0)
+                assert got == ([] if child is None else [(MatchTechnique.PERFECT, child)])
+
+
 def wide_trie(rnd, alphabet):
     """A trie whose root, and one of its children, have more children than a
     flat leaf scans, with the probes to try from them.

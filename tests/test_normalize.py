@@ -1,9 +1,11 @@
+import sys
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termcoder import normalize
 from termcoder.normalize import (
     NormalizationConfig,
     default_stopwords,
@@ -11,6 +13,8 @@ from termcoder.normalize import (
     normalize_text,
     tokenize,
 )
+
+from helpers import reference_tokenize
 
 
 def reference_normalize(raw: str) -> str:
@@ -114,6 +118,59 @@ class TestTokenize:
         cfg = NormalizationConfig(stopwords=frozenset())
         text = " ".join(words)
         assert " ".join(tokenize(text, cfg).tokens) == normalize_text(text)
+
+
+class TestTokenizePaths:
+    """``tokenize`` takes the translate-table path or the per-character loop;
+    both must give what the reference loop gives."""
+
+    def test_every_code_point_embedded_equals_reference(self, monkeypatch):
+        cfg = NormalizationConfig(stopwords=frozenset())
+        loop_calls = []
+        loop = normalize._tokenize_loop
+        monkeypatch.setattr(
+            normalize, "_tokenize_loop", lambda raw, sw: loop_calls.append(raw[2]) or loop(raw, sw)
+        )
+        wrong = []
+        for code in range(sys.maxunicode + 1):
+            raw = "ab" + chr(code) + "cd"
+            got = tokenize(raw, cfg)
+            if (got.tokens, got.offsets) != reference_tokenize(raw):
+                wrong.append(hex(code))
+        assert wrong == []
+        # Both paths ran: a bare mark and a Hangul syllable (two jamo) need the loop.
+        fallback = set(loop_calls)
+        assert {"\u0301", "\uac00"} <= fallback
+        assert not {"a", "\u00e9", "\u0130", "\u00a0", "\x00"} & fallback
+
+    @pytest.mark.parametrize("raw", ["\u0301", "\u0301\u0301", "\uac00\uac00", "\ufb01x", "\u0130\u00df"])
+    def test_alone_and_doubled(self, raw):
+        cfg = NormalizationConfig(stopwords=frozenset())
+        got = tokenize(raw, cfg)
+        assert (got.tokens, got.offsets) == reference_tokenize(raw)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.characters(),
+                st.sampled_from(["\u0301", "\u0130", "\u00df", "\ufb01", "\u00a0", "d", "l", "e", " "]),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_mixed_text_equals_reference(self, raw):
+        cfg = NormalizationConfig()  # "d", "l" and "de" are default stopwords
+        got = tokenize(raw, cfg)
+        assert (got.tokens, got.offsets) == reference_tokenize(raw, cfg.stopwords)
+
+    def test_translate_table_stays_bounded(self):
+        raw = "".join(map(chr, range(0x4E00, 0x4E00 + 100_000)))  # CJK and on: 100k distinct
+        got = tokenize(raw, NormalizationConfig(stopwords=frozenset()))
+        assert len(normalize._FRAGMENTS) <= normalize._TABLE_SIZE
+        assert (got.tokens, got.offsets) == reference_tokenize(raw)
+        # The table still serves lines after it was emptied.
+        assert tokenize("AVC massif").offsets == ((0, 3), (4, 10))
 
 
 class TestStopwords:
