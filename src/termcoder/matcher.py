@@ -8,17 +8,22 @@ dictionary tokens).
 
 Both distance-based techniques come from one descent over the sorted
 child tokens, read as a character trie (Shang & Merrett 1996; Mihov &
-Schulz 2004). An edit-distance row against the input token is extended
-one character at a time within the *max_dist* band around the diagonal
-(Ukkonen 1985). Tokens sharing a prefix share its row, a dead row drops
-every token under it, and each surviving child's row is carried on into
-its grandchildren the same way. ``levenshtein_distance`` is kept as the
-standalone distance between two strings; matching does not call it.
+Schulz 2004). The edit-distance row against the input token, within the
+*max_dist* band around the diagonal (Ukkonen 1985), is the state of a
+Levenshtein automaton (Schulz & Mihov 2002): each character read is one
+lookup in a transition table that depends on *max_dist* alone and is
+filled as states are reached. Tokens sharing a prefix share its state, a
+dead state drops every token under it, and once no band cell is below
+*max_dist* the descent bisects straight to the runs of the few characters
+that can keep the state alive. Each surviving child's state is carried
+on into its grandchildren the same way. ``levenshtein_distance`` is kept
+as the standalone distance between two strings; matching does not call it.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -124,105 +129,200 @@ def levenshtein_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-def _extend_row(
-    row: list[int], depth: int, chars: str, word: str, max_dist: int
-) -> list[int] | None:
-    """Continue an edit-distance row of *word* through *chars*.
+class _Automaton:
+    """The banded edit-distance row of one *max_dist* k, as a lazily filled
+    deterministic automaton (Ukkonen 1985; Schulz & Mihov 2002).
 
-    ``row[j]`` is the distance between ``word[:j]`` and the *depth*
-    characters read so far. Only the cells within *max_dist* of the
-    diagonal are computed (Ukkonen 1985); every other cell holds some
-    value above *max_dist*, and any such value means "too far". Returns
-    the row after the last of *chars*, or None as soon as the smallest
-    band cell, tracked while the band is computed, is too far: no
-    continuation of what was read can come back within *max_dist*.
+    After *d* characters, a state is the band of 2k+1 cells around the
+    diagonal: cell ``t`` is the distance between the word prefix of length
+    ``d - k + t`` and what was read, capped at k+1, which stands for every
+    value above k. A cell before the word's start or past its end holds
+    k+1. State 0 is the dead band, every cell at k+1: nothing read after it
+    can come back within k.
+
+    The next state depends on the state and on two bits per new cell,
+    packed in a key: bit ``2t`` is set when the word character on the
+    cell's diagonal equals the character read, bit ``2t + 1`` when the cell
+    lies within the word (a cell past its end is forced to k+1). ``read``
+    sets both bits for every word position once per word, so that shifting
+    a character's mask by twice the depth lines them up with the band. The
+    table depends on k alone, never on the tokens, and holds at most
+    (k+2)^(2k+1) states. Threads may share it: ``advance`` fills a missing
+    transition under a lock and publishes it after the state it leads to.
     """
-    n = len(word)
-    over = max_dist + 1
-    i = depth
-    for ch in chars:
-        i += 1
-        new = [over] * (n + 1)
-        lo = i - max_dist
-        if lo > 0:
-            left = over
-        else:
-            new[0] = left = i
-            lo = 1
-        hi = i + max_dist
-        if hi > n:
-            hi = n
-        diag = row[lo - 1]
-        least = left
-        for j in range(lo, hi + 1):
-            up = row[j]
-            cost = diag if word[j - 1] == ch else diag + 1
-            if up < cost:
-                cost = up + 1
-            if left < cost:
-                cost = left + 1
-            new[j] = left = cost
-            if cost < least:
-                least = cost
-            diag = up
-        if least > max_dist:
-            return None
-        row = new
-    return row
+
+    def __init__(self, max_dist: int) -> None:
+        self.max_dist = k = max_dist
+        self.full = (1 << 2 * (2 * k + 1)) - 1  # the key bits of one band
+        self.bands: list[tuple[int, ...]] = []
+        self.least: list[int] = []  # the smallest cell
+        self.at_k: list[tuple[int, ...]] = []  # the offsets of the cells at exactly k
+        self.accept: list[int] = []  # bit t: cell t is at most k
+        self.delta: list[dict[int, int]] = []  # key -> next state
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._starts: dict[int, int] = {}
+        self._lock = threading.Lock()
+        self._intern((k + 1,) * (2 * k + 1))
+
+    def read(self, word: str) -> tuple[dict[str, int], int, int]:
+        """Key masks of *word*'s characters, the mask of any other
+        character, and the start state.
+
+        Word position ``q`` owns bits ``2(q + k)`` (the character is
+        ``word[q]``) and ``2(q + k) + 1`` (the position is in the word).
+        """
+        k = self.max_dist
+        n = len(word)
+        other = ((1 << 2 * (n + k)) - 1) // 3 << 1  # the in-word bit of positions -k .. n-1
+        masks: dict[str, int] = {}
+        bit = 1 << 2 * k
+        for ch in word:
+            masks[ch] = masks.get(ch, other) | bit
+            bit <<= 2
+        length = min(n, k)  # the band at depth 0 depends on the word's length up to k
+        start = self._starts.get(length)
+        if start is None:
+            with self._lock:
+                band = tuple(j if 0 <= j <= length else k + 1 for j in range(-k, k + 1))
+                start = self._starts[length] = self._intern(band)
+        return masks, other, start
+
+    def advance(self, state: int, key: int) -> int:
+        """The state after *state* reads a character with *key*."""
+        try:
+            return self.delta[state][key]
+        except KeyError:
+            pass
+        with self._lock:
+            following = self.delta[state]
+            nxt = following.get(key)
+            if nxt is None:
+                nxt = following[key] = self._intern(self._next_band(self.bands[state], key))
+            return nxt
+
+    def _next_band(self, band: tuple[int, ...], key: int) -> tuple[int, ...]:
+        over = self.max_dist + 1
+        last = len(band) - 1
+        new = []
+        left = over
+        for t, diag in enumerate(band):
+            if key >> 2 * t + 1 & 1:
+                cost = diag if key >> 2 * t & 1 else diag + 1
+                up = band[t + 1] + 1 if t < last else over
+                left = min(cost, up, left + 1, over)
+            else:
+                left = over
+            new.append(left)
+        return tuple(new)
+
+    def _intern(self, band: tuple[int, ...]) -> int:
+        state = self._ids.get(band)
+        if state is None:
+            k = self.max_dist
+            self.bands.append(band)
+            self.least.append(min(band))
+            self.at_k.append(tuple(t for t, d in enumerate(band) if d == k))
+            self.accept.append(sum(1 << t for t, d in enumerate(band) if d <= k))
+            self.delta.append({})
+            state = self._ids[band] = len(self.bands) - 1
+        return state
 
 
-# Sibling runs up to this size are scanned one token at a time: on so few
-# tokens, the bookkeeping of a split costs more than the rows it saves.
+# One automaton per max_dist, made on first use and never emptied: each is
+# bounded by its max_dist, and what it holds cannot change a result.
+_AUTOMATA: dict[int, _Automaton] = {}
+
+
+def _automaton(max_dist: int) -> _Automaton:
+    auto = _AUTOMATA.get(max_dist)
+    if auto is None:
+        auto = _AUTOMATA.setdefault(max_dist, _Automaton(max_dist))
+    return auto
+
+
+# A run of sibling tokens up to this size whose state has a cell below
+# max_dist is scanned one token at a time: on so few tokens, the
+# bookkeeping of a split costs more than the steps it saves.
 _LEAF_SIZE = 64
 
 
 def _walk(
-    tokens: tuple[str, ...], row: list[int], depth: int, word: str, max_dist: int, lengths: range
-) -> Iterator[tuple[str, list[int]]]:
-    """Yield ``(token, row)``, in order, for each sorted token with a length
-    in *lengths* whose row, continued from *row* at *depth*, stays alive.
+    auto: _Automaton,
+    word: str,
+    masks: dict[str, int],
+    other: int,
+    tokens: tuple[str, ...],
+    state: int,
+    depth: int,
+    lengths: range,
+) -> Iterator[tuple[str, int]]:
+    """Yield ``(token, state)``, in order, for each sorted token with a
+    length in *lengths* whose state, continued from *state* at *depth*,
+    is alive.
 
-    A run of tokens with a common prefix extends the prefix's row once, and
-    a dead prefix drops the run. Once no band cell is below *max_dist*, a
-    character keeps the row alive only if it is ``word[j]`` for a cell
-    ``j`` at *max_dist*, so bisect jumps to those characters' runs. A run
-    of at most ``_LEAF_SIZE`` tokens is scanned flat, passing over, when a
-    split reached it, tokens whose next character is not one of those.
+    A run of tokens with a common prefix steps through the prefix once, and
+    a dead prefix drops the run. Once no band cell is below max_dist, a
+    character keeps the state alive only if it is the word character on the
+    diagonal of a cell at max_dist, so bisect jumps to those characters'
+    runs, in a run of any size. Otherwise a run of at most ``_LEAF_SIZE``
+    tokens is scanned flat, one character step per token character, and a
+    larger one is split on its next character.
     """
-    stack = [(0, len(tokens), 0, row)]
+    k = auto.max_dist
+    n = len(word)
+    full, delta, least, at_k, advance = auto.full, auto.delta, auto.least, auto.at_k, auto.advance
+    stack = [(0, len(tokens), 0, state)]
+    allowed: dict[tuple[int, int], list[str]] = {}  # (state, depth) -> sorted jump characters
     while stack:
-        lo, hi, k, row = stack.pop()  # tokens[lo:hi] share a k-character prefix, whose row is *row*
-        i = depth + k
-        allowed = None
-        if k or hi - lo > _LEAF_SIZE:
-            j0 = max(0, i - max_dist)
-            band = row[j0 : i + max_dist + 1]
-            if min(band) == max_dist:  # next characters that can keep the row; "": the token ends
-                allowed = {word[j : j + 1] for j, d in enumerate(band, j0) if d == max_dist} | {""}
-        if hi - lo <= _LEAF_SIZE:
+        lo, hi, p, state = stack.pop()  # tokens[lo:hi] share a p-character prefix, which leads to *state*
+        i = depth + p
+        shift = 2 * i
+        if least[state] == k:  # jump to the word characters on the diagonals of the cells at k
+            chars = allowed.get((state, i))
+            if chars is None:
+                chars = sorted({word[q] for t in at_k[state] if 0 <= (q := i - k + t) < n})
+                allowed[state, i] = chars
+        elif hi - lo <= _LEAF_SIZE:
             for token in tokens[lo:hi]:
-                if len(token) in lengths and (allowed is None or token[k : k + 1] in allowed):
-                    last = _extend_row(row, i, token[k:], word, max_dist)
-                    if last is not None:
-                        yield token, last
+                if len(token) in lengths:
+                    s, sh = state, shift
+                    for ch in token[p:]:  # advance() inlined: a table hit costs no call
+                        bits = masks.get(ch, other) >> sh & full
+                        try:
+                            s = delta[s][bits]
+                        except KeyError:
+                            s = advance(s, bits)
+                        if not s:
+                            break
+                        sh += 2
+                    else:
+                        yield token, s
             continue
-        if len(tokens[lo]) == k:  # the prefix itself sorts before its extensions
-            if k in lengths:
-                yield tokens[lo], row
+        else:
+            chars = None
+        if len(tokens[lo]) == p:  # the prefix itself sorts before its extensions
+            if p in lengths:
+                yield tokens[lo], state
             lo += 1
-        key = itemgetter(k)
+        key = itemgetter(p)
         runs = []
-        while lo < hi:
-            ch = tokens[lo][k]
-            if allowed is not None and ch not in allowed:
-                ahead = [c for c in allowed if c > ch]
-                lo = bisect_left(tokens, min(ahead), lo, hi, key=key) if ahead else hi
-                continue
-            end = bisect_right(tokens, ch, lo, hi, key=key)
-            extended = _extend_row(row, i, ch, word, max_dist)
-            if extended is not None:
-                runs.append((lo, end, k + 1, extended))
-            lo = end
+        if chars is None:  # split on every next character
+            while lo < hi:
+                ch = tokens[lo][p]
+                end = bisect_right(tokens, ch, lo, hi, key=key)
+                s = advance(state, masks.get(ch, other) >> shift & full)
+                if s:
+                    runs.append((lo, end, p + 1, s))
+                lo = end
+        else:
+            for ch in chars:
+                lo = bisect_left(tokens, ch, lo, hi, key=key)
+                end = bisect_right(tokens, ch, lo, hi, key=key)
+                if lo < end:
+                    s = advance(state, masks.get(ch, other) >> shift & full)
+                    if s:
+                        runs.append((lo, end, p + 1, s))
+                lo = end
         stack.extend(reversed(runs))
 
 
@@ -253,10 +353,13 @@ def match_token(
     once, under its strongest technique.
 
     Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
-    each surviving child's banded row (see ``_extend_row``) decides the
-    child itself, and a second walk carries it into the child's sorted
-    grandchildren. Prefix rows are shared and dead prefixes skipped, so a
-    child or pair whose row would exceed *max_dist* may cost no row at all.
+    each surviving child's automaton state (see ``_Automaton``) decides
+    the child itself, and a second walk carries it into the child's sorted
+    grandchildren. Prefix states are shared, dead prefixes skipped, and a
+    state with no band cell below *max_dist* bisects to the runs of the
+    characters that can keep it, so a child or pair that is too far may
+    cost no step at all. The setup per call is one character-to-bitmask
+    dict for *input_token*.
 
     *node* must belong to a frozen trie: the walk follows its
     ``sorted_tokens``, which fixes the order of the result: perfect,
@@ -288,20 +391,28 @@ def match_token(
             offer(MatchTechnique.ABBREVIATION, target)
 
     if max_dist > 0:
+        auto = _automaton(max_dist)
+        masks, other, start = auto.read(input_token)
+        accept = auto.accept
         n = len(input_token)
+        reach = n + max_dist  # a state at depth D accepts when cell n - D + max_dist is at most max_dist
         near: list[TrieNode] = []
         composed: list[TrieNode] = []
-        start = list(range(n + 1))
-        top = n + max_dist  # a longer first token is too long, and so is every first + second
-        for first, row in _walk(node.sorted_tokens, start, 0, input_token, max_dist, range(top + 1)):
+        # A longer first token is too long, and so is every first + second.
+        firsts = _walk(auto, input_token, masks, other, node.sorted_tokens, start, 0, range(reach + 1))
+        for first, state in firsts:
             mid = node.children[first]
-            if row[n] <= max_dist and n >= fuzzy_min_len and first != input_token:
+            d = len(first)
+            if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
                 near.append(mid)
-            if mid.sorted_tokens:
-                d = len(first)  # outside this window of lengths, row[n] is out of the band
-                window = range(n - max_dist - d, top - d + 1)
-                seconds = _walk(mid.sorted_tokens, row, d, input_token, max_dist, window)
-                composed.extend(mid.children[s] for s, last in seconds if last[n] <= max_dist)
+            if mid.sorted_tokens:  # outside this window of lengths, cell n is out of the band
+                window = range(n - max_dist - d, reach - d + 1)
+                seconds = _walk(auto, input_token, masks, other, mid.sorted_tokens, state, d, window)
+                composed.extend(
+                    mid.children[second]
+                    for second, last in seconds
+                    if accept[last] >> reach - d - len(second) & 1
+                )
         for target in near:
             offer(MatchTechnique.LEVENSHTEIN, target)
         for target in composed:

@@ -8,7 +8,7 @@ produce annotations on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,17 +82,3 @@ class DictionaryTrie:
             node = stack.pop()
             yield node
             stack.extend(node.children.values())
-
-    def iter_terms(self) -> Iterator[Term]:
-        for node in self.iter_nodes():
-            if node.terminal is not None:
-                yield node.terminal
-
-    def lookup_path(self, tokens: Iterable[str]) -> TrieNode | None:
-        """Walk a token sequence from the root; None if the path breaks off."""
-        node = self.root
-        for token in tokens:
-            node = node.children.get(token)
-            if node is None:
-                return None
-        return node

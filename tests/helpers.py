@@ -2,10 +2,11 @@
 
 import unicodedata
 from functools import lru_cache
+from typing import Iterator
 
 from termcoder import BuildReport, DictionaryTrie, MatchTechnique, NormalizationConfig
 from termcoder.normalize import tokenize
-from termcoder.trie import Term
+from termcoder.trie import Term, TrieNode
 
 # Synthetic dictionaries use short tokens; keep stopword removal out of the way.
 NO_STOPWORDS = NormalizationConfig(stopwords=frozenset())
@@ -30,6 +31,23 @@ def build_trie(entries: dict[str, str]) -> DictionaryTrie:
     for label, code in entries.items():
         trie.insert_term(Term(tuple(label.split()), label, code))
     return trie.freeze()
+
+
+def lookup_path(trie: DictionaryTrie, tokens) -> TrieNode | None:
+    """Walk a token sequence from the root; None if the path breaks off."""
+    node = trie.root
+    for token in tokens:
+        node = node.children.get(token)
+        if node is None:
+            return None
+    return node
+
+
+def iter_terms(trie: DictionaryTrie) -> Iterator[Term]:
+    """Every term record in *trie*."""
+    for node in trie.iter_nodes():
+        if node.terminal is not None:
+            yield node.terminal
 
 
 def heart_trie() -> DictionaryTrie:
@@ -182,7 +200,7 @@ def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
             steps = reference_match_token(tokens[index], trie, path, abbrevs, max_dist, fuzzy_min_len)
             for technique, target in steps:
                 total = cost + technique
-                term = trie.lookup_path(target).terminal
+                term = lookup_path(trie, target).terminal
                 if term is not None:
                     key = (-index, total, term.label, term.code)
                     if best is None or key < best:

@@ -32,6 +32,7 @@ from helpers import (
     edit_distance_reference,
     heart_trie,
     leftmost_longest_windows,
+    lookup_path,
 )
 
 
@@ -314,7 +315,7 @@ def test_criterion_8b_trie_round_trip(entries):
     trie.freeze()
     assert trie.term_count == len(entries)
     for path, code in entries.items():
-        node = trie.lookup_path(path)
+        node = lookup_path(trie, path)
         assert node is not None
         assert node.terminal == Term(path, " ".join(path), code)
 

@@ -20,6 +20,7 @@ from helpers import (
     build_trie,
     composed_trie,
     heart_trie,
+    iter_terms,
     leftmost_longest_windows,
     reference_annotate,
 )
@@ -30,7 +31,7 @@ INS_TABLE = AbbreviationTable.build({"ins": "insuffisance"})
 def assert_annotation_sound(annotation, trie, abbrevs, max_dist, fuzzy_min_len=5):
     """Replay the technique trail against the trie and the term's token path."""
     term_path = None
-    for term in trie.iter_terms():
+    for term in iter_terms(trie):
         if term.label == annotation.term_label and term.code == annotation.code:
             term_path = term.tokens
             break

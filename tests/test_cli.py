@@ -8,6 +8,8 @@ from termcoder import DictionarySpec, assemble_dictionary, evaluate
 from termcoder.cli import main
 from termcoder.corpus import gold_code_tuples, parse_aligned_causes, predicted_code_tuples, read_annotation_rows
 
+from helpers import lookup_path
+
 HEADER = "DocID;LineID;RawText;StandardText;ICD10"
 
 
@@ -77,7 +79,7 @@ class TestBuild:
         assert main(["build", "--corpus", str(corpus), "--terms", str(terms)]) == 0
         assert "terms=2 codes=2 conflicts=0 skipped=0" in capsys.readouterr().out
         trie, _ = assemble_dictionary(DictionarySpec((corpus,), (terms,)))
-        assert trie.lookup_path(("asthme",)).terminal.code == "J459"
+        assert lookup_path(trie, ("asthme",)).terminal.code == "J459"
 
     def test_index_term_list_short_row_counts_as_skipped(self, tmp_path, capsys):
         corpus = tmp_path / "train.csv"

@@ -13,7 +13,7 @@ from termcoder import (
 )
 from termcoder.coder import resolve_code, tally_terms
 
-from helpers import reference_dictionary
+from helpers import iter_terms, reference_dictionary
 
 
 AMBIGUOUS_AVC = (
@@ -223,5 +223,5 @@ def test_build_matches_reference(corpus_rows, list_rows):
         spec = DictionarySpec(corpus_sources=(corpus,), external_term_lists=(terms,))
         trie, report = assemble_dictionary(spec)
     want_terms, want_report = reference_dictionary(corpus_rows, list_rows, NormalizationConfig())
-    assert {t.tokens: (t.label, t.code) for t in trie.iter_terms()} == want_terms
+    assert {t.tokens: (t.label, t.code) for t in iter_terms(trie)} == want_terms
     assert report == want_report

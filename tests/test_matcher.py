@@ -1,11 +1,14 @@
+import itertools
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termcoder import matcher
+from termcoder import annotate_line, matcher
 from termcoder.matcher import (
     _LEAF_SIZE,
     EMPTY_ABBREVIATIONS,
@@ -24,6 +27,8 @@ from helpers import (
     composed_trie,
     edit_distance_reference,
     heart_trie,
+    iter_terms,
+    lookup_path,
     reference_match_token,
 )
 
@@ -214,7 +219,7 @@ class TestBigramIndex:
             ("insuffisance", "respiratoire"),
             ("respiratoire", "aigue"),
         }
-        vocab = {token for term in trie.iter_terms() for token in term.tokens}
+        vocab = {token for term in iter_terms(trie) for token in term.tokens}
         found = set().union(*(composed_pairs(trie, a + b) for a in vocab for b in vocab))
         assert found == expected
         assert composed_pairs(trie, "insuffisancecardiaque") == {("insuffisance", "cardiaque")}
@@ -224,7 +229,7 @@ class TestBigramIndex:
         trie = heart_trie()
         (match,) = match_token("insuffisancecardiaque", trie.root, max_dist=1)
         assert match.technique is MatchTechnique.BIGRAM_LEVENSHTEIN
-        assert match.target_node is trie.lookup_path(("insuffisance", "cardiaque"))
+        assert match.target_node is lookup_path(trie, ("insuffisance", "cardiaque"))
 
     def test_empty_trie(self):
         trie = DictionaryTrie().freeze()
@@ -416,17 +421,39 @@ def wide_trie(rnd, alphabet):
 @given(rnd=st.randoms(use_true_random=False))
 @settings(max_examples=12, deadline=None)
 def test_descent_over_wide_nodes_equals_brute_force_reference(alphabet, rnd):
-    # More siblings than _LEAF_SIZE: shared prefix rows, jumps and split-reached leaves.
+    # More siblings than _LEAF_SIZE: shared prefix states, splits, jumps in runs of
+    # every size, and flat runs at the walk's start or reached by a split.
     trie, wide, probes = wide_trie(rnd, alphabet)
     paths = {id(node): path for path, node in node_paths(trie)}
     fuzzy_min_len = rnd.choice((1, 4))
     for path in ((), (wide,)):
-        node = trie.lookup_path(path)
+        node = lookup_path(trie, path)
         for probe in probes:
             for max_dist in (1, 2, 3):
                 assert_matches_reference(
                     trie, EMPTY_ABBREVIATIONS, path, node, probe, max_dist, fuzzy_min_len, paths
                 )
+
+
+class CountingRow(dict):
+    """A transition row that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        CountingRow.lookups += 1
+        return super().__getitem__(key)
+
+
+def count_steps(monkeypatch, max_dist, run):
+    """The automaton steps *run()* takes on a warm table, and its result."""
+    monkeypatch.setattr(matcher, "_AUTOMATA", {})
+    expected = run()  # fills the table
+    auto = matcher._automaton(max_dist)
+    monkeypatch.setattr(auto, "delta", [CountingRow(row) for row in auto.delta])
+    monkeypatch.setattr(CountingRow, "lookups", 0)
+    assert run() == expected
+    return CountingRow.lookups, expected
 
 
 def test_descent_extends_fewer_rows_than_eligible_children(monkeypatch):
@@ -435,16 +462,114 @@ def test_descent_extends_fewer_rows_than_eligible_children(monkeypatch):
     trie = build_trie({w: f"C{i}" for i, w in enumerate(sorted(words))})
     probe = min(w for w in words if len(w) == 6)[:-1] + "x"  # one substitution away
     eligible = [w for w in words if len(w) <= len(probe) + 1]
-    calls = []
-    extend_row = matcher._extend_row
-    monkeypatch.setattr(
-        matcher, "_extend_row", lambda *args: calls.append(args) or extend_row(*args)
+    steps, got = count_steps(
+        monkeypatch, 1, lambda: match_token(probe, trie.root, max_dist=1, fuzzy_min_len=1)
     )
-    got = match_token(probe, trie.root, max_dist=1, fuzzy_min_len=1)
     assert {(m.technique, (m.target_node.token,)) for m in got} == reference_match_token(
         probe, trie, (), EMPTY_ABBREVIATIONS, 1, 1
     )
     assert got
-    # A flat scan extends one row per length-eligible child at least.
+    # A flat scan takes one automaton step per length-eligible child at least.
     assert len(eligible) > 200
-    assert len(calls) < len(eligible)
+    assert 0 < steps < len(eligible)
+
+
+def test_state_at_max_dist_jumps_inside_a_leaf_run(monkeypatch):
+    word = "abcdef"
+    tokens = tuple(sorted(c + s for c in "bdefghij" for s in ("cdef", "xyz", "q", "cdefg")))
+    assert len(tokens) <= _LEAF_SIZE
+
+    def walk():
+        auto = matcher._automaton(1)
+        masks, other, start = auto.read(word)
+        ((_, state),) = matcher._walk(auto, word, masks, other, ("z",), start, 0, range(2))
+        assert auto.least[state] == 1  # no cell below max_dist: only "a", "b" and "c" keep it
+        return list(matcher._walk(auto, word, masks, other, tokens, state, 1, range(10)))
+
+    steps, got = count_steps(monkeypatch, 1, walk)
+    alive = [t for t in tokens if min(edit_distance_reference(word[:j], "z" + t) for j in range(7)) <= 1]
+    assert [token for token, _ in got] == alive == ["bcdef"]
+    # One step for "z", then only the "b" run is entered; a flat scan steps every token.
+    assert steps <= 1 + sum(len(t) for t in tokens if t[0] == "b") < len(tokens)
+
+
+def capped_band(word, text, k):
+    """The reference edit-distance row of *word* against *text*, as the
+    2k+1 cells around the diagonal, capped at k+1, k+1 outside the word."""
+    i, n = len(text), len(word)
+    return tuple(
+        min(edit_distance_reference(word[:j], text), k + 1) if 0 <= j <= n else k + 1
+        for j in range(i - k, i + k + 1)
+    )
+
+
+@given(st.text("abc", max_size=8), st.text("abc", max_size=12), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_automaton_steps_equal_capped_reference_rows(word, text, k):
+    # One character at a time through _walk, so both the flat step and the jump are checked.
+    auto = matcher._automaton(k)
+    masks, other, state = auto.read(word)
+    for i in range(len(text) + 1):
+        band = auto.bands[state]
+        assert band == capped_band(word, text[:i], k)
+        assert auto.least[state] == min(band)
+        assert auto.at_k[state] == tuple(t for t, d in enumerate(band) if d == k)
+        assert auto.accept[state] == sum(1 << t for t, d in enumerate(band) if d <= k)
+        if i == len(text):
+            break
+        steps = list(matcher._walk(auto, word, masks, other, (text[i],), state, i, range(1, 2)))
+        if not steps:  # the state died: no cell can come back within k
+            assert min(capped_band(word, text[: i + 1], k)) == k + 1
+            break
+        ((_, state),) = steps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_automaton_table_stays_bounded(k):
+    auto = matcher._Automaton(k)
+    texts = tuple(sorted({"".join(p) for r in range(k + 6) for p in itertools.product("abc", repeat=r)}))
+    words = ["".join(p) for r in range(6) for p in itertools.product("abc", repeat=r)]
+
+    def sweep():
+        for word in words:
+            masks, other, start = auto.read(word)
+            for _ in matcher._walk(auto, word, masks, other, texts, start, 0, range(len(texts[-1]) + 1)):
+                pass
+
+    sweep()
+    states = len(auto.bands)
+    assert states <= (k + 2) ** (2 * k + 1)
+    sweep()
+    assert len(auto.bands) == states  # a second sweep reaches no new state
+
+
+def test_concurrent_annotation_equals_serial(monkeypatch):
+    rnd = random.Random(11)
+    trie, _, probes = wide_trie(rnd, "abcd")
+    vocab = [token for node in trie.iter_nodes() for token in node.sorted_tokens]
+    lines = [
+        " ".join(rnd.choice(probes + vocab) for _ in range(rnd.randint(1, 8))) for _ in range(12)
+    ]
+    jobs = [(line, max_dist) for line in lines for max_dist in (1, 2, 3)]
+
+    def annotate(job):
+        line, max_dist = job
+        return annotate_line(line, trie, NO_STOPWORDS, EMPTY_ABBREVIATIONS, max_dist, 2)
+
+    serial = [annotate(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            monkeypatch.setattr(matcher, "_AUTOMATA", {})  # the threads fill fresh tables together
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(annotate, jobs, timeout=300))
+            assert threaded == serial
+            for max_dist in (1, 2, 3):
+                auto = matcher._AUTOMATA[max_dist]
+                assert len(set(auto.bands)) == len(auto.bands)
+                for state, row in enumerate(auto.delta):
+                    for key, nxt in row.items():
+                        assert auto.bands[nxt] == auto._next_band(auto.bands[state], key)
+    finally:
+        sys.setswitchinterval(interval)

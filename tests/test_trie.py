@@ -4,19 +4,19 @@ from hypothesis import strategies as st
 
 from termcoder.trie import DictionaryTrie, Term
 
-from helpers import heart_trie
+from helpers import heart_trie, lookup_path
 
 
 class TestInsert:
     def test_insert_creates_path_with_terminal(self):
         trie = heart_trie()
-        node = trie.lookup_path(("insuffisance", "cardiaque", "aigue"))
+        node = lookup_path(trie, ("insuffisance", "cardiaque", "aigue"))
         assert node is not None
         assert node.terminal.code == "I509"
 
     def test_terminal_node_can_have_children(self):
         trie = heart_trie()
-        node = trie.lookup_path(("insuffisance", "cardiaque"))
+        node = lookup_path(trie, ("insuffisance", "cardiaque"))
         assert node.terminal is not None
         assert "aigue" in node.children
 
@@ -59,7 +59,7 @@ class TestLookups:
         node = trie.root.children["insuffisance"]
         assert set(node.children) == {"cardiaque", "respiratoire"}
         assert node.sorted_tokens == ("cardiaque", "respiratoire")
-        leaf = trie.lookup_path(("insuffisance", "cardiaque", "aigue"))
+        leaf = lookup_path(trie, ("insuffisance", "cardiaque", "aigue"))
         assert set(leaf.children) == set()
         assert leaf.sorted_tokens == ()
 
@@ -88,7 +88,7 @@ def test_round_trip_random_term_sets(entries):
     trie.freeze()
     assert trie.term_count == len(entries)
     for path, code in entries.items():
-        node = trie.lookup_path(path)
+        node = lookup_path(trie, path)
         assert node.terminal == Term(path, " ".join(path), code)
 
 
