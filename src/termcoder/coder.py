@@ -9,7 +9,6 @@ inserted into the trie as it is.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -24,39 +23,56 @@ class DictionaryBuildError(ValueError):
 
 @dataclass
 class CodeFrequencyTable:
-    """Per-term code occurrence counts keyed by the normalized token path."""
+    """Per-term code counts, keyed by the normalized token path.
 
-    counts: dict[tuple[str, ...], Counter] = field(default_factory=dict)
+    ``counts`` maps a path to a plain ``{code: occurrences}`` dict, made when
+    the path is first seen; ``labels`` maps it to the first raw label seen.
+    """
+
+    counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
     labels: dict[tuple[str, ...], str] = field(default_factory=dict)
     skipped_rows: int = 0
 
 
 def tally_terms(
-    pairs: Iterable[tuple[str, str]], cfg: NormalizationConfig | None = None
+    pairs: Iterable[tuple[str, str]],
+    cfg: NormalizationConfig | None = None,
+    strings: dict[str, str] | None = None,
 ) -> CodeFrequencyTable:
     """Count (label, code) occurrences per token path; the first label seen is kept.
 
-    A row with an empty side, or whose label has no tokens, is skipped.
+    A row with an empty side, or whose label has no tokens, is skipped. The
+    tokens and codes the table keeps are interned in *strings*, so a dict
+    shared by the tallies of one build holds each distinct one once.
     """
     cfg = cfg or NormalizationConfig()
+    intern = ({} if strings is None else strings).setdefault
     table = CodeFrequencyTable()
+    counts, labels = table.counts, table.labels
     for label, code in pairs:
-        tokens = tokenize(label, cfg).tokens if label and code else ()
-        if not tokens:
+        path = tokenize(label, cfg).tokens if label and code else ()
+        if not path:
             table.skipped_rows += 1
             continue
-        table.counts.setdefault(tokens, Counter())[code] += 1
-        table.labels.setdefault(tokens, label)
+        codes = counts.get(path)
+        if codes is None:
+            path = tuple(map(intern, path, path))
+            codes = counts[path] = {}
+            labels[path] = label
+        if code in codes:
+            codes[code] += 1
+        else:
+            codes[intern(code, code)] = 1
     return table
 
 
 def resolve_code(table: CodeFrequencyTable, key: tuple[str, ...]) -> str:
     """The most frequent code for a token path; ties go to the smallest code."""
     try:
-        counter = table.counts[key]
+        codes = table.counts[key]
     except KeyError:
         raise KeyError(f"no codes recorded for term key {key!r}") from None
-    return min(counter.items(), key=lambda item: (-item[1], item[0]))[0]
+    return min(codes.items(), key=lambda item: (-item[1], item[0]))[0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +121,8 @@ def assemble_dictionary(
     list_pairs = (
         pair for path in spec.external_term_lists for pair in read_term_list(path, spec.term_list_format)
     )
-    corpus, external = tally_terms(corpus_pairs, cfg), tally_terms(list_pairs, cfg)
+    strings: dict[str, str] = {}  # one object per distinct token and code
+    corpus, external = tally_terms(corpus_pairs, cfg, strings), tally_terms(list_pairs, cfg, strings)
 
     conflicts = 0
     codes: set[str] = set()

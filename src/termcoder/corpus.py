@@ -102,15 +102,16 @@ def _read_columns(
             yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
 
 
-def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> list[CorpusRecord]:
-    """Read an aligned-causes style corpus CSV into records.
+def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> Iterator[CorpusRecord]:
+    """Yield the records of an aligned-causes style corpus CSV as its rows are read.
 
     Rows with empty standard text or code are kept (zero-code lines are
     legal); rows missing document/line identity are skipped and counted in
-    a warning. A configured column absent from the header is a hard error.
+    a warning, logged once the rows run out. No row is kept after it is
+    yielded. A configured column absent from the header raises
+    :class:`CorpusFormatError` when the first record is asked for.
     """
     columns = (fmt.col_doc, fmt.col_line, fmt.col_raw, fmt.col_standard, fmt.col_code)
-    records: list[CorpusRecord] = []
     skipped = 0
     for doc, line, raw, standard, code in _read_columns(path, fmt.delimiter, columns):
         doc, line = (doc or "").strip(), (line or "").strip()
@@ -118,10 +119,9 @@ def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> l
             skipped += 1
             continue
         standard, code = (standard or "").strip() or None, (code or "").strip() or None
-        records.append(CorpusRecord(doc, line, raw, standard, code))
+        yield CorpusRecord(doc, line, raw, standard, code)
     if skipped:
         logger.warning("skipped %d malformed rows in %s", skipped, path)
-    return records
 
 
 def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> list[tuple[str, str]]:

@@ -20,12 +20,18 @@ class Term:
     code: str
 
 
+# The children of every node that has none: one shared mapping that is
+# never written to, since ``insert_term`` gives a node its own dict when it
+# adds the node's first child.
+_NO_CHILDREN: dict[str, "TrieNode"] = {}
+
+
 class TrieNode:
     __slots__ = ("token", "children", "terminal", "sorted_tokens")
 
     def __init__(self, token: str | None = None):
         self.token = token
-        self.children: dict[str, TrieNode] = {}
+        self.children: dict[str, TrieNode] = _NO_CHILDREN
         self.terminal: Term | None = None
         self.sorted_tokens: tuple[str, ...] = ()
 
@@ -57,7 +63,12 @@ class DictionaryTrie:
             raise ValueError(f"term {term.label!r} has an empty code")
         node = self.root
         for token in term.tokens:
-            node = node.children.setdefault(token, TrieNode(token))
+            child = node.children.get(token)
+            if child is None:
+                if node.children is _NO_CHILDREN:
+                    node.children = {}
+                child = node.children[token] = TrieNode(token)
+            node = child
         if node.terminal is None:
             self.term_count += 1
         node.terminal = term  # last write wins; the coder resolves codes first
@@ -68,7 +79,8 @@ class DictionaryTrie:
 
         Matching scans children in ``sorted_tokens`` order, so tie order does
         not depend on insertion order; a frozen trie is never mutated and can
-        be shared by concurrent readers.
+        be shared by concurrent readers. Every leaf shares one empty
+        ``children`` mapping.
         """
         if not self._frozen:
             for node in self.iter_nodes():

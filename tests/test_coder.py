@@ -201,9 +201,26 @@ def test_custom_stopwords_affect_keys():
     assert set(table.counts) == {("glissement",)}
 
 
-# Words that differ only in case, accents or stopwords; "asthme" appears in
-# the term lists alone, so some paths exist only there.
-CORPUS_WORDS = ["avc", "AVC", "Avc", "fièvre", "fievre", "FIÈVRE", "de", "la", "insuffisance", "aigüe"]
+# Words that differ only in case, accents, decomposition (NFD) or stopwords;
+# "asthme" appears in the term lists alone, so some paths exist only there.
+# A Hangul syllable takes the tokenizer's per-character loop and its jamo
+# the fast path. Every word can appear on several paths in both sources.
+CORPUS_WORDS = [
+    "avc",
+    "AVC",
+    "Avc",
+    "fièvre",
+    "fievre",
+    "FIÈVRE",
+    "fie\u0300vre",
+    "de",
+    "la",
+    "insuffisance",
+    "aigüe",
+    "aigu\u0308e",
+    "\uac00",
+    "\u1100\u1161",
+]
 LIST_WORDS = CORPUS_WORDS + ["asthme", "Asthme"]
 CODES = ["", "A1", "I50", "I509", "J459"]
 
@@ -225,3 +242,15 @@ def test_build_matches_reference(corpus_rows, list_rows):
     want_terms, want_report = reference_dictionary(corpus_rows, list_rows, NormalizationConfig())
     assert {t.tokens: (t.label, t.code) for t in iter_terms(trie)} == want_terms
     assert report == want_report
+
+    leaves = [node for node in trie.iter_nodes() if not node.children]
+    assert all(node.children is leaves[0].children for node in leaves)  # one shared empty mapping
+    interned = {}  # equal tokens and codes, on any path and from either source, are one object
+    for node in trie.iter_nodes():
+        assert node.sorted_tokens == tuple(sorted(node.children))
+        for token, child in node.children.items():
+            assert interned.setdefault(token, token) is token
+            assert child.token is token
+    for term in iter_terms(trie):
+        for string in term.tokens + (term.code,):
+            assert interned.setdefault(string, string) is string

@@ -39,7 +39,7 @@ class TestParseAlignedCauses:
     def test_duplicated_raw_text_rows(self, tmp_path):
         path = tmp_path / "corpus.csv"
         write_sample_corpus(path)
-        records = parse_aligned_causes(path)
+        records = list(parse_aligned_causes(path))
         assert len(records) == 2
         assert {r.raw_text for r in records} == {RAW}
         assert [(r.standard_text, r.code) for r in records] == [
@@ -50,26 +50,26 @@ class TestParseAlignedCauses:
     def test_header_only(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("DocID;LineID;RawText;StandardText;ICD10\n", encoding="utf-8")
-        assert parse_aligned_causes(path) == []
+        assert list(parse_aligned_causes(path)) == []
 
     def test_empty_optional_fields_become_none(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text(
             "DocID;LineID;RawText;StandardText;ICD10\ndoc1;1;DECES;;\n", encoding="utf-8"
         )
-        records = parse_aligned_causes(path)
+        records = list(parse_aligned_causes(path))
         assert records == [CorpusRecord("doc1", "1", "DECES", None, None)]
 
     def test_missing_configured_column_is_hard_error(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("DocID;LineID;RawText\ndoc1;1;DECES\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="StandardText"):
-            parse_aligned_causes(path)
+            list(parse_aligned_causes(path))
 
     def test_empty_file_has_no_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        assert parse_aligned_causes(path) == []
+        assert list(parse_aligned_causes(path)) == []
         assert read_term_list(path) == []
         assert read_annotation_rows(path) == []
 
@@ -83,7 +83,7 @@ class TestParseAlignedCauses:
         # code in the first row, no raw text (so a malformed row) in the second;
         # blank rows are neither records nor malformed
         with caplog.at_level("WARNING"):
-            records = parse_aligned_causes(path)
+            records = list(parse_aligned_causes(path))
         assert records == [CorpusRecord("doc1", "1", "DECES", None, None)]
         assert "skipped 1 malformed rows" in caplog.text
 
@@ -96,7 +96,7 @@ class TestParseAlignedCauses:
             encoding="utf-8",
         )
         with caplog.at_level("WARNING"):
-            records = parse_aligned_causes(path)
+            records = list(parse_aligned_causes(path))
         assert len(records) == 1
         assert "skipped 1 malformed rows" in caplog.text
 
@@ -111,9 +111,26 @@ class TestParseAlignedCauses:
             col_standard="norm",
             col_code="icd",
         )
-        records = parse_aligned_causes(path, fmt)
+        records = list(parse_aligned_causes(path, fmt))
         assert records[0].doc_id == "d1"
         assert records[0].code == "R99"
+
+    def test_rows_are_read_lazily(self, tmp_path, caplog):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "DocID;LineID;RawText;StandardText;ICD10\n"
+            "doc1;1;DECES;deces;R99\n"
+            ";2;DECES;;\n"
+            "doc1;3;ARRET;arret;I469\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("WARNING"):
+            records = parse_aligned_causes(path)
+            assert next(records).line_id == "1"
+            assert next(records).line_id == "3"
+            assert "malformed" not in caplog.text  # the warning waits for the end of the file
+            assert next(records, None) is None
+        assert "skipped 1 malformed rows" in caplog.text
 
 
 class TestReadTermList:

@@ -153,7 +153,9 @@ class TestTokenizePaths:
         st.text(
             alphabet=st.one_of(
                 st.characters(),
-                st.sampled_from(["\u0301", "\u0130", "\u00df", "\ufb01", "\u00a0", "d", "l", "e", " "]),
+                st.sampled_from(
+                    ["\u0301", "\u0130", "\u00df", "\ufb01", "\u00a0", "\u00e9", "\u00cb", "\uac00", "d", "l", "e", " "]
+                ),
             ),
             max_size=40,
         )
@@ -161,8 +163,9 @@ class TestTokenizePaths:
     @settings(max_examples=300)
     def test_mixed_text_equals_reference(self, raw):
         cfg = NormalizationConfig()  # "d", "l" and "de" are default stopwords
-        got = tokenize(raw, cfg)
-        assert (got.tokens, got.offsets) == reference_tokenize(raw, cfg.stopwords)
+        for text in (raw, unicodedata.normalize("NFD", raw)):  # decomposed: marks stand alone
+            got = tokenize(text, cfg)
+            assert (got.tokens, got.offsets) == reference_tokenize(text, cfg.stopwords)
 
     def test_translate_table_stays_bounded(self):
         raw = "".join(map(chr, range(0x4E00, 0x4E00 + 100_000)))  # CJK and on: 100k distinct

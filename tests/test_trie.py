@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from termcoder.trie import DictionaryTrie, Term
+from termcoder import trie as trie_module
+from termcoder.trie import DictionaryTrie, Term, TrieNode
 
 from helpers import heart_trie, lookup_path
 
@@ -41,6 +42,34 @@ class TestInsert:
         trie = heart_trie()
         with pytest.raises(ValueError, match="frozen"):
             trie.insert_term(Term(("x",), "x", "X00"))
+
+    def test_insert_after_freeze_leaves_the_shared_leaf_mapping_empty(self):
+        trie = heart_trie()
+        leaf = lookup_path(trie, ("insuffisance", "cardiaque", "aigue"))
+        other = lookup_path(trie, ("insuffisance", "respiratoire", "aigue"))
+        assert leaf.children is other.children  # every leaf shares one empty mapping
+        with pytest.raises(ValueError, match="frozen"):
+            trie.insert_term(Term(("insuffisance", "cardiaque", "aigue", "x"), "x", "X00"))
+        assert leaf.children == {}
+        # A trie built afterwards has empty leaves too.
+        assert lookup_path(heart_trie(), ("insuffisance", "respiratoire", "aigue")).children == {}
+
+    def test_insert_builds_a_node_only_for_a_missing_child(self, monkeypatch):
+        built = []
+
+        class CountingNode(TrieNode):
+            __slots__ = ()
+
+            def __init__(self, token=None):
+                built.append(self)
+                super().__init__(token)
+
+        monkeypatch.setattr(trie_module, "TrieNode", CountingNode)
+        trie = DictionaryTrie()  # the root is one
+        trie.insert_term(Term(("a", "b"), "a b", "C1"))
+        trie.insert_term(Term(("a", "b"), "a b", "C2"))
+        trie.insert_term(Term(("a", "c"), "a c", "C3"))
+        assert len(built) == 4  # root, a, b, c
 
 
 class TestLookups:
