@@ -59,10 +59,12 @@ def advance_states(
 ) -> list[MatchState]:
     """Advance every state across *input_token*.
 
-    Each state forks once per way the token matches from its node, in
-    ``match_token`` order; a state with no match dies. Of the successors on
-    one node, only the first with the smallest technique sum is kept, in
-    its place: the others could never be selected (see ``_drop_twins``).
+    Each state forks once per candidate ``match_token`` lists, in its
+    order; a state with no match dies. Successors on one node may come
+    from two states, or from one state whose abbreviation target is also
+    a fuzzy target. Of these twins, only the first with the smallest
+    technique sum is kept, in its place: the others could never be
+    selected (see ``_drop_twins``, the one place twins are dropped).
     Every technique descends at least one trie level, so after the j-th
     token of a start the pool holds at most one state per node of depth j
     or more.
@@ -85,18 +87,20 @@ def _drop_twins(states: list[MatchState]) -> list[MatchState]:
     no larger and on the same term. When the sums are equal, the kept one
     comes first in every later pool. ``select_longest`` would never pick the
     dropped one, so the result does not change, and the pool stays bounded
-    by the trie instead of doubling with each ambiguous short form.
+    by the trie instead of doubling with each ambiguous short form. A twin
+    from the state that made an earlier one comes later in technique
+    order, so its sum is larger and it is always dropped.
     """
     best: dict[TrieNode, tuple[int, MatchState]] = {}
     for state in states:
         cost = sum(state.techniques)
         kept = best.get(state.node)
-        if kept is None or cost < kept[0]:
+        if kept is None:
             best[state.node] = (cost, state)
-    if len(best) == len(states):
-        return states
-    keep = {id(state) for _, state in best.values()}
-    return [state for state in states if id(state) in keep]
+        elif cost < kept[0]:  # re-insert, so the node moves to the cheaper twin's place
+            del best[state.node]
+            best[state.node] = (cost, state)
+    return states if len(best) == len(states) else [state for _, state in best.values()]
 
 
 def select_longest(states: list[MatchState]) -> MatchState | None:

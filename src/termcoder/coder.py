@@ -131,8 +131,8 @@ def assemble_dictionary(
         seen = corpus.counts.get(key, {}).keys() | external.counts.get(key, {}).keys()
         conflicts += len(seen) > 1
         source = corpus if key in corpus.counts else external
-        term = Term(tokens=key, label=source.labels[key], code=resolve_code(source, key))
-        trie.insert_term(term)
+        term = Term(source.labels[key], resolve_code(source, key))
+        trie.insert_term(key, term)
         codes.add(term.code)
     trie.freeze()
 

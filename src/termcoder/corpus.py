@@ -82,24 +82,28 @@ def _read_columns(
     the file then has no header row and every row is data. The file is read
     as ``utf-8-sig``. An empty file yields no rows, blank rows are skipped, a
     short row's missing cells read as None, and a named column absent from
-    the header raises :class:`CorpusFormatError`.
+    the header raises :class:`CorpusFormatError`, as does a row the CSV
+    reader rejects (a cell over its field size limit, say), naming the line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        if _by_position(columns):
-            at = [int(col) for col in columns]
-        else:
-            header = next(reader, None)
-            if header is None:
-                return
-            position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-            for col in columns:
-                if col not in position:
-                    raise CorpusFormatError(f"column {col!r} not found in {path} (header: {header})")
-            at = [position[col] for col in columns]
-        pick, width = itemgetter(*at), max(at) + 1
-        for row in filter(None, reader):  # blank rows are skipped, as DictReader does
-            yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
+        try:
+            if _by_position(columns):
+                at = [int(col) for col in columns]
+            else:
+                header = next(reader, None)
+                if header is None:
+                    return
+                position = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+                for col in columns:
+                    if col not in position:
+                        raise CorpusFormatError(f"column {col!r} not found in {path} (header: {header})")
+                at = [position[col] for col in columns]
+            pick, width = itemgetter(*at), max(at) + 1
+            for row in filter(None, reader):  # blank rows are skipped, as DictReader does
+                yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
+        except csv.Error as exc:
+            raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> Iterator[CorpusRecord]:

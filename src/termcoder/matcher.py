@@ -56,9 +56,6 @@ class AbbreviationTable:
 
     entries: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
 
-    def expansions(self, token: str) -> tuple[tuple[str, ...], ...]:
-        return self.entries.get(token, ())
-
     @classmethod
     def build(
         cls,
@@ -349,8 +346,10 @@ def match_token(
     are excluded); edit distance <= *max_dist* to the concatenation of a
     child + grandchild pair (composed words, whatever the input length).
     Both distance-based techniques are off when *max_dist* is 0, so only
-    perfect and abbreviation matches remain. Each target node is reported
-    once, under its strongest technique.
+    perfect and abbreviation matches remain. Every candidate is listed,
+    so an abbreviation target that is also within *max_dist* appears a
+    second time under its fuzzy technique; the state pool keeps only the
+    strongest (see ``annotator._drop_twins``).
 
     Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
     each surviving child's automaton state (see ``_Automaton``) decides
@@ -367,28 +366,16 @@ def match_token(
     matches in (child, grandchild) order.
     """
     child = node.children.get(input_token)
-    expansions = abbrevs.entries.get(input_token, ())
-    if max_dist == 0 and not expansions:  # the perfect child is the only candidate
-        return [] if child is None else [TokenMatch(MatchTechnique.PERFECT, child)]
+    matches = [] if child is None else [TokenMatch(MatchTechnique.PERFECT, child)]
 
-    found: dict[int, TokenMatch] = {}
-
-    def offer(technique: MatchTechnique, target: TrieNode) -> None:
-        key = id(target)
-        if key not in found:  # generation order is priority order
-            found[key] = TokenMatch(technique, target)
-
-    if child is not None:
-        offer(MatchTechnique.PERFECT, child)
-
-    for expansion in expansions:
+    for expansion in abbrevs.entries.get(input_token, ()):
         target: TrieNode | None = node
         for token in expansion:
             target = target.children.get(token)
             if target is None:
                 break
         else:
-            offer(MatchTechnique.ABBREVIATION, target)
+            matches.append(TokenMatch(MatchTechnique.ABBREVIATION, target))
 
     if max_dist > 0:
         auto = _automaton(max_dist)
@@ -396,26 +383,22 @@ def match_token(
         accept = auto.accept
         n = len(input_token)
         reach = n + max_dist  # a state at depth D accepts when cell n - D + max_dist is at most max_dist
-        near: list[TrieNode] = []
-        composed: list[TrieNode] = []
+        composed: list[TokenMatch] = []
         # A longer first token is too long, and so is every first + second.
         firsts = _walk(auto, input_token, masks, other, node.sorted_tokens, start, 0, range(reach + 1))
         for first, state in firsts:
             mid = node.children[first]
             d = len(first)
             if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
-                near.append(mid)
+                matches.append(TokenMatch(MatchTechnique.LEVENSHTEIN, mid))
             if mid.sorted_tokens:  # outside this window of lengths, cell n is out of the band
                 window = range(n - max_dist - d, reach - d + 1)
                 seconds = _walk(auto, input_token, masks, other, mid.sorted_tokens, state, d, window)
                 composed.extend(
-                    mid.children[second]
+                    TokenMatch(MatchTechnique.BIGRAM_LEVENSHTEIN, mid.children[second])
                     for second, last in seconds
                     if accept[last] >> reach - d - len(second) & 1
                 )
-        for target in near:
-            offer(MatchTechnique.LEVENSHTEIN, target)
-        for target in composed:
-            offer(MatchTechnique.BIGRAM_LEVENSHTEIN, target)
+        matches += composed
 
-    return list(found.values())
+    return matches

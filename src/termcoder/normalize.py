@@ -44,13 +44,14 @@ def _read_word_list(path: str | PathLike[str] | None, resource: str) -> Iterator
     """Yield ``("source:lineno", line)`` for the stripped lines of a UTF-8 word list.
 
     *path* None reads the packaged ``data/<resource>``. Blank lines and
-    ``#`` comment lines are skipped.
+    ``#`` comment lines are skipped. The file is read as ``utf-8-sig``, so
+    a byte-order mark cannot hide a comment on the first line.
     """
     if path is None:
         source, file = resource, resources.files("termcoder").joinpath("data").joinpath(resource)
     else:
         source, file = path, Path(path)
-    with file.open(encoding="utf-8") as fh:
+    with file.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):

@@ -13,9 +13,9 @@ from typing import Iterator
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """A dictionary entry: normalized token path, surface label, code."""
+    """A dictionary entry: surface label and code. Its token path is where
+    the trie stores it."""
 
-    tokens: tuple[str, ...]
     label: str
     code: str
 
@@ -54,15 +54,16 @@ class DictionaryTrie:
     def frozen(self) -> bool:
         return self._frozen
 
-    def insert_term(self, term: Term) -> "DictionaryTrie":
+    def insert_term(self, tokens: tuple[str, ...], term: Term) -> "DictionaryTrie":
+        """Store *term* on the node at the end of the path *tokens*."""
         if self._frozen:
             raise ValueError("trie is frozen; build a new one to add terms")
-        if not term.tokens:
+        if not tokens:
             raise ValueError(f"term {term.label!r} has no tokens")
         if not term.code:
             raise ValueError(f"term {term.label!r} has an empty code")
         node = self.root
-        for token in term.tokens:
+        for token in tokens:
             child = node.children.get(token)
             if child is None:
                 if node.children is _NO_CHILDREN:

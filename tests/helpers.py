@@ -29,7 +29,7 @@ def build_trie(entries: dict[str, str]) -> DictionaryTrie:
     """Build a frozen trie from {space-joined tokens: code}."""
     trie = DictionaryTrie()
     for label, code in entries.items():
-        trie.insert_term(Term(tuple(label.split()), label, code))
+        trie.insert_term(tuple(label.split()), Term(label, code))
     return trie.freeze()
 
 
@@ -43,11 +43,14 @@ def lookup_path(trie: DictionaryTrie, tokens) -> TrieNode | None:
     return node
 
 
-def iter_terms(trie: DictionaryTrie) -> Iterator[Term]:
-    """Every term record in *trie*."""
-    for node in trie.iter_nodes():
+def iter_terms(trie: DictionaryTrie) -> Iterator[tuple[tuple[str, ...], Term]]:
+    """(token path, term record) for every term in *trie*, by a walk from the root."""
+    stack = [((), trie.root)]
+    while stack:
+        path, node = stack.pop()
         if node.terminal is not None:
-            yield node.terminal
+            yield path, node.terminal
+        stack.extend((path + (token,), child) for token, child in node.children.items())
 
 
 def heart_trie() -> DictionaryTrie:
@@ -140,12 +143,13 @@ def edit_distance_reference(a: str, b: str) -> int:
 
 
 def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_len):
-    """Brute-force match_token from the node at *path*, as a set of
-    (technique, target path) pairs.
+    """Brute-force match_token from the node at *path*, as the set of every
+    (technique, target path) candidate.
 
     Plain dict walks over children and grandchildren with the reference
-    edit distance and no length filters; each target keeps its strongest
-    technique. The differential test compares the library against it.
+    edit distance and no length filters. A target that two techniques
+    reach is listed under both: nothing here keeps the strongest one. The
+    differential test compares the library against it.
     """
     node = trie.root
     for token in path:
@@ -165,17 +169,13 @@ def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_
         for first, child in node.children.items():
             if (
                 len(input_token) >= fuzzy_min_len
-                and edit_distance_reference(input_token, first) <= max_dist
+                and 0 < edit_distance_reference(input_token, first) <= max_dist  # 0 is the perfect child
             ):
                 found.append((MatchTechnique.LEVENSHTEIN, path + (first,)))
             for second in child.children:
                 if edit_distance_reference(input_token, first + second) <= max_dist:
                     found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, path + (first, second)))
-    strongest = {}
-    for technique, target in found:
-        if target not in strongest or technique < strongest[target]:
-            strongest[target] = technique
-    return {(technique, target) for target, technique in strongest.items()}
+    return set(found)
 
 
 def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):

@@ -130,7 +130,7 @@ def test_criterion_6_annotator_matches_window_reference():
                 paths.add(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
             trie = DictionaryTrie()
             for i, path in enumerate(sorted(paths)):
-                trie.insert_term(Term(path, " ".join(path), f"C{i:03d}"))
+                trie.insert_term(path, Term(" ".join(path), f"C{i:03d}"))
             trie.freeze()
             for _ in range(5):
                 tokens = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
@@ -311,13 +311,13 @@ def test_criterion_8a_normalization_idempotent(raw):
 def test_criterion_8b_trie_round_trip(entries):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     assert trie.term_count == len(entries)
     for path, code in entries.items():
         node = lookup_path(trie, path)
         assert node is not None
-        assert node.terminal == Term(path, " ".join(path), code)
+        assert node.terminal == Term(" ".join(path), code)
 
 
 @big
@@ -328,7 +328,7 @@ def test_criterion_8b_trie_round_trip(entries):
 def test_criterion_8c_annotations_nonoverlapping_and_deterministic(entries, tokens):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     raw = " ".join(tokens)
     first = annotate_line(raw, trie, NO_STOPWORDS, max_dist=1)

@@ -31,9 +31,9 @@ INS_TABLE = AbbreviationTable.build({"ins": "insuffisance"})
 def assert_annotation_sound(annotation, trie, abbrevs, max_dist, fuzzy_min_len=5):
     """Replay the technique trail against the trie and the term's token path."""
     term_path = None
-    for term in iter_terms(trie):
+    for path, term in iter_terms(trie):
         if term.label == annotation.term_label and term.code == annotation.code:
-            term_path = term.tokens
+            term_path = path
             break
     assert term_path is not None, "annotated term is not in the dictionary"
     assert len(annotation.techniques) == len(annotation.matched_tokens)
@@ -52,7 +52,7 @@ def assert_annotation_sound(annotation, trie, abbrevs, max_dist, fuzzy_min_len=5
             assert levenshtein_distance(input_token, joined) <= max_dist
             at += 2
         else:
-            expansions = abbrevs.expansions(input_token)
+            expansions = abbrevs.entries.get(input_token, ())
             step = [e for e in expansions if tuple(term_path[at : at + len(e)]) == e]
             assert step, "abbreviation expansion does not walk the term path"
             at += len(step[0])
@@ -99,7 +99,7 @@ class TestGoldenSequences:
 
     def test_unfrozen_trie_rejected(self):
         trie = DictionaryTrie()
-        trie.insert_term(Term(("avc",), "avc", "I640"))
+        trie.insert_term(("avc",), Term("avc", "I640"))
         with pytest.raises(ValueError, match="frozen"):
             annotate_line("avc", trie)
 
@@ -247,7 +247,7 @@ def tie_trie():
     """Four one-token terms: labels "a", "b", "b", "b" with codes C3, C2, C1, C1."""
     trie = DictionaryTrie()
     for token, label, code in [("t", "a", "C3"), ("u", "b", "C2"), ("v", "b", "C1"), ("w", "b", "C1")]:
-        trie.insert_term(Term((token,), label, code))
+        trie.insert_term((token,), Term(label, code))
     return trie.freeze()
 
 
@@ -316,7 +316,7 @@ def test_matches_window_reference_on_random_inputs():
             paths.add(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
         trie = DictionaryTrie()
         for i, path in enumerate(sorted(paths)):
-            trie.insert_term(Term(path, " ".join(path), f"C{i:03d}"))
+            trie.insert_term(path, Term(" ".join(path), f"C{i:03d}"))
         trie.freeze()
         for _ in range(10):
             tokens = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
@@ -345,7 +345,7 @@ def noisy_token(draw):
 def test_nonoverlap_determinism_and_soundness(entries, tokens):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     raw = " ".join(tokens)
     first = annotate_line(raw, trie, NO_STOPWORDS, max_dist=1)
@@ -364,7 +364,7 @@ def test_nonoverlap_determinism_and_soundness(entries, tokens):
 def test_exact_term_text_is_fully_recognized(entries):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     for path, code in entries.items():
         anns = annotate_line(" ".join(path), trie, NO_STOPWORDS, max_dist=1)
@@ -391,7 +391,7 @@ short_or_composed = st.sampled_from(["ab", "cd", "alphabravo", "cartadelt", "del
 def test_matches_brute_force_reference_with_fuzzy_techniques(entries, tokens, fuzzy_min_len):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     for max_dist in (0, 1, 2):
         got = annotate_line(
@@ -484,7 +484,7 @@ def adversarial_cases(draw):
         mapping["alpha"] = ["alpha alpha"]
     trie = DictionaryTrie()
     for i, path in enumerate(dict.fromkeys(paths)):
-        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
     trie.freeze()
     line_token = st.sampled_from(adversarial_vocab + ["s", "t", "alphu", "alphaalpha", "alphalpho"])
     repeated = st.tuples(line_token, st.integers(1, 7)).map(lambda pair: [pair[0]] * pair[1])

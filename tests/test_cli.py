@@ -54,6 +54,14 @@ class TestBuild:
         assert main(["build", "--corpus", str(corpus)]) == 0
         assert "terms=2 codes=2 conflicts=0 skipped=0" in capsys.readouterr().out
 
+    def test_oversized_cell_fails_naming_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "train.csv"
+        write_rows(corpus, ["d1;1;AVC;avc;I640", "d2;1;" + "x" * 131_073 + ";asthme;J459"])
+        assert main(["build", "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:3: field larger than field limit")
+        assert "Traceback" not in err
+
     def test_no_sources_fails(self, capsys):
         assert main(["build"]) == 1
         assert "no sources" in capsys.readouterr().err

@@ -240,7 +240,7 @@ def test_build_matches_reference(corpus_rows, list_rows):
         spec = DictionarySpec(corpus_sources=(corpus,), external_term_lists=(terms,))
         trie, report = assemble_dictionary(spec)
     want_terms, want_report = reference_dictionary(corpus_rows, list_rows, NormalizationConfig())
-    assert {t.tokens: (t.label, t.code) for t in iter_terms(trie)} == want_terms
+    assert {path: (t.label, t.code) for path, t in iter_terms(trie)} == want_terms
     assert report == want_report
 
     leaves = [node for node in trie.iter_nodes() if not node.children]
@@ -251,6 +251,6 @@ def test_build_matches_reference(corpus_rows, list_rows):
         for token, child in node.children.items():
             assert interned.setdefault(token, token) is token
             assert child.token is token
-    for term in iter_terms(trie):
-        for string in term.tokens + (term.code,):
+    for path, term in iter_terms(trie):
+        for string in path + (term.code,):
             assert interned.setdefault(string, string) is string

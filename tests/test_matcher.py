@@ -70,26 +70,26 @@ class TestLevenshtein:
 class TestExpandAbbreviation:
     def test_known_short_form(self):
         table = AbbreviationTable.build({"ins": "insuffisance"})
-        assert table.expansions("ins") == (("insuffisance",),)
+        assert table.entries.get("ins", ()) == (("insuffisance",),)
 
     def test_unknown_token(self):
         table = AbbreviationTable.build({"ins": "insuffisance"})
-        assert table.expansions("cardiaque") == ()
+        assert table.entries.get("cardiaque", ()) == ()
 
     def test_default_table_multi_token_expansion(self):
         table = load_abbreviations()
-        assert table.expansions("avc") == (("accident", "vasculaire", "cerebral"),)
+        assert table.entries.get("avc", ()) == (("accident", "vasculaire", "cerebral"),)
 
     def test_default_table_has_nine_entries(self):
         assert len(load_abbreviations().entries) == 9
 
     def test_self_expansion_dropped(self):
         table = AbbreviationTable.build({"avc": "avc"})
-        assert table.expansions("avc") == ()
+        assert table.entries.get("avc", ()) == ()
 
     def test_expansion_is_stopword_filtered(self):
         table = load_abbreviations()
-        assert table.expansions("idm") == (("infarctus", "myocarde"),)
+        assert table.entries.get("idm", ()) == (("infarctus", "myocarde"),)
 
     def test_built_in_short_forms(self):
         shorts = {"ins", "avc", "oap", "idm", "bpco", "hta", "irc", "ira", "fa"}
@@ -102,6 +102,11 @@ class TestExpandAbbreviation:
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: expected 'short=expansion words'")):
             load_abbreviations(path)
 
+    def test_byte_order_mark_does_not_hide_first_comment(self, tmp_path):
+        path = tmp_path / "abbrev.txt"
+        path.write_text("\ufeff# short forms\nins=insuffisance\n", encoding="utf-8")
+        assert load_abbreviations(path).entries == {"ins": (("insuffisance",),)}
+
     @pytest.mark.parametrize("short", ["de", "d'"])
     def test_stopword_short_form_rejected(self, short):
         # tokenize drops a stopword, so no input token could ever match the entry
@@ -111,7 +116,7 @@ class TestExpandAbbreviation:
     def test_short_form_accepted_when_not_a_stopword(self):
         cfg = NormalizationConfig(stopwords=default_stopwords() - {"de"})
         table = AbbreviationTable.build({"de": "insuffisance cardiaque"}, cfg)
-        assert table.expansions("de") == (("insuffisance", "cardiaque"),)
+        assert table.entries.get("de", ()) == (("insuffisance", "cardiaque"),)
 
     def test_multi_word_short_form_rejected(self):
         with pytest.raises(ValueError, match="single token"):
@@ -172,11 +177,15 @@ class TestMatchToken:
                     assert matches[0].target_node is expected
 
     def test_duplicate_target_keeps_strongest_technique(self):
+        # match_token lists the target under both techniques, strongest
+        # first; the state pool keeps only the abbreviation.
         trie = build_trie({"abcdef": "X00"})
         table = AbbreviationTable.build({"abcdee": "abcdef"})
+        target = trie.root.children["abcdef"]
         matches = match_token("abcdee", trie.root, table, 1)
-        assert len(matches) == 1
-        assert matches[0].technique is MatchTechnique.ABBREVIATION
+        assert matches == [(MatchTechnique.ABBREVIATION, target), (MatchTechnique.LEVENSHTEIN, target)]
+        (ann,) = annotate_line("abcdee", trie, abbrevs=table, max_dist=1)
+        assert (ann.code, ann.techniques) == ("X00", (MatchTechnique.ABBREVIATION,))
 
     def test_multi_token_abbreviation_walks_whole_expansion(self):
         trie = build_trie({"accident vasculaire cerebral": "I64"})
@@ -219,7 +228,7 @@ class TestBigramIndex:
             ("insuffisance", "respiratoire"),
             ("respiratoire", "aigue"),
         }
-        vocab = {token for term in iter_terms(trie) for token in term.tokens}
+        vocab = {token for path, _ in iter_terms(trie) for token in path}
         found = set().union(*(composed_pairs(trie, a + b) for a in vocab for b in vocab))
         assert found == expected
         assert composed_pairs(trie, "insuffisancecardiaque") == {("insuffisance", "cardiaque")}
@@ -238,7 +247,7 @@ class TestBigramIndex:
 
     def test_single_token_term_has_no_bigrams(self):
         trie = DictionaryTrie()
-        trie.insert_term(Term(("avc",), "avc", "I640"))
+        trie.insert_term(("avc",), Term("avc", "I640"))
         trie.freeze()
         assert composed_pairs(trie, "avc") == set()
         assert composed_pairs(trie, "avcavc") == set()
@@ -277,7 +286,7 @@ def fuzzy_cases(draw):
     }
     trie = DictionaryTrie()
     for i, path in enumerate(dict.fromkeys(paths)):
-        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
     trie.freeze()
     tokens = vocab + [a + b for a in vocab for b in vocab]
     probes = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=6))
@@ -334,7 +343,7 @@ def exact_cases(draw):
     mapping = {short: draw(st.lists(expansion, min_size=1, max_size=3)) for short in shorts}
     trie = DictionaryTrie()
     for i, path in enumerate(dict.fromkeys(paths)):
-        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
     trie.freeze()
     probes = vocab + shorts + ["zz"]
     return trie, AbbreviationTable.build(mapping, NO_STOPWORDS), probes
@@ -343,15 +352,15 @@ def exact_cases(draw):
 @given(exact_cases())
 @settings(max_examples=150, deadline=None)
 def test_exact_match_token_equals_brute_force_reference(case):
-    # max_dist 0: the early return for a token without expansions, and the
-    # full candidate merge for a short form, whether or not it is a child too.
+    # max_dist 0: a token without expansions lists at most its perfect child;
+    # a short form lists its expansion targets too, whether or not it is a child.
     trie, table, probes = case
     nodes = node_paths(trie)
     paths = {id(node): path for path, node in nodes}
     for path, node in nodes:
         for probe in probes:
             assert_matches_reference(trie, table, path, node, probe, 0, 1, paths)
-            if not table.expansions(probe):
+            if not table.entries.get(probe, ()):
                 child = node.children.get(probe)
                 got = match_token(probe, node, table, max_dist=0)
                 assert got == ([] if child is None else [(MatchTechnique.PERFECT, child)])
@@ -387,7 +396,7 @@ def wide_trie(rnd, alphabet):
     terms += [(rnd.choice(firsts), word(1, 5)) for _ in range(40)]
     trie = DictionaryTrie()
     for i, path in enumerate(dict.fromkeys(terms)):
-        trie.insert_term(Term(path, " ".join(path), f"C{i}"))
+        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
     trie.freeze()
 
     def edited(token):

@@ -197,3 +197,8 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nDès\n\npour\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"des", "pour"})
+
+    def test_byte_order_mark_does_not_hide_first_comment(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("\ufeff# French stopwords\nde\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"de"})

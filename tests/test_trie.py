@@ -24,24 +24,24 @@ class TestInsert:
     def test_empty_token_list_rejected(self):
         trie = DictionaryTrie()
         with pytest.raises(ValueError, match="no tokens"):
-            trie.insert_term(Term((), "", "X00"))
+            trie.insert_term((), Term("", "X00"))
 
     def test_empty_code_rejected(self):
         trie = DictionaryTrie()
         with pytest.raises(ValueError, match="empty code"):
-            trie.insert_term(Term(("avc",), "avc", ""))
+            trie.insert_term(("avc",), Term("avc", ""))
 
     def test_reinsert_same_path_overwrites_terminal(self):
         trie = DictionaryTrie()
-        trie.insert_term(Term(("avc",), "avc", "I64"))
-        trie.insert_term(Term(("avc",), "AVC", "I640"))
+        trie.insert_term(("avc",), Term("avc", "I64"))
+        trie.insert_term(("avc",), Term("AVC", "I640"))
         assert trie.term_count == 1
         assert trie.root.children["avc"].terminal.code == "I640"
 
     def test_insert_after_freeze_fails(self):
         trie = heart_trie()
         with pytest.raises(ValueError, match="frozen"):
-            trie.insert_term(Term(("x",), "x", "X00"))
+            trie.insert_term(("x",), Term("x", "X00"))
 
     def test_insert_after_freeze_leaves_the_shared_leaf_mapping_empty(self):
         trie = heart_trie()
@@ -49,7 +49,7 @@ class TestInsert:
         other = lookup_path(trie, ("insuffisance", "respiratoire", "aigue"))
         assert leaf.children is other.children  # every leaf shares one empty mapping
         with pytest.raises(ValueError, match="frozen"):
-            trie.insert_term(Term(("insuffisance", "cardiaque", "aigue", "x"), "x", "X00"))
+            trie.insert_term(("insuffisance", "cardiaque", "aigue", "x"), Term("x", "X00"))
         assert leaf.children == {}
         # A trie built afterwards has empty leaves too.
         assert lookup_path(heart_trie(), ("insuffisance", "respiratoire", "aigue")).children == {}
@@ -66,9 +66,9 @@ class TestInsert:
 
         monkeypatch.setattr(trie_module, "TrieNode", CountingNode)
         trie = DictionaryTrie()  # the root is one
-        trie.insert_term(Term(("a", "b"), "a b", "C1"))
-        trie.insert_term(Term(("a", "b"), "a b", "C2"))
-        trie.insert_term(Term(("a", "c"), "a c", "C3"))
+        trie.insert_term(("a", "b"), Term("a b", "C1"))
+        trie.insert_term(("a", "b"), Term("a b", "C2"))
+        trie.insert_term(("a", "c"), Term("a c", "C3"))
         assert len(built) == 4  # root, a, b, c
 
 
@@ -100,8 +100,8 @@ class TestCounts:
 
     def test_prefix_sharing_node_count(self):
         trie = DictionaryTrie()
-        trie.insert_term(Term(("a", "b"), "a b", "C1"))
-        trie.insert_term(Term(("a", "c"), "a c", "C2"))
+        trie.insert_term(("a", "b"), Term("a b", "C1"))
+        trie.insert_term(("a", "c"), Term("a c", "C2"))
         assert sum(1 for _ in trie.iter_nodes()) == 4  # root, a, b, c
 
 
@@ -113,18 +113,18 @@ paths = st.lists(token, min_size=1, max_size=4).map(tuple)
 def test_round_trip_random_term_sets(entries):
     trie = DictionaryTrie()
     for path, code in entries.items():
-        trie.insert_term(Term(path, " ".join(path), code))
+        trie.insert_term(path, Term(" ".join(path), code))
     trie.freeze()
     assert trie.term_count == len(entries)
     for path, code in entries.items():
         node = lookup_path(trie, path)
-        assert node.terminal == Term(path, " ".join(path), code)
+        assert node.terminal == Term(" ".join(path), code)
 
 
 @given(st.sets(paths, max_size=25))
 def test_node_count_equals_distinct_prefixes_plus_root(term_paths):
     trie = DictionaryTrie()
     for path in term_paths:
-        trie.insert_term(Term(path, " ".join(path), "C0"))
+        trie.insert_term(path, Term(" ".join(path), "C0"))
     prefixes = {path[:i] for path in term_paths for i in range(1, len(path) + 1)}
     assert sum(1 for _ in trie.iter_nodes()) == len(prefixes) + 1
