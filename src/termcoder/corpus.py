@@ -17,6 +17,7 @@ from os import PathLike
 from typing import Iterable, Iterator
 
 from .annotator import Annotation
+from .normalize import _not_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +84,8 @@ def _read_columns(
     as ``utf-8-sig``. An empty file yields no rows, blank rows are skipped, a
     short row's missing cells read as None, and a named column absent from
     the header raises :class:`CorpusFormatError`, as does a row the CSV
-    reader rejects (a cell over its field size limit, say), naming the line.
+    reader rejects (a cell over its field size limit, say) or a line that is
+    not UTF-8, naming the line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -104,6 +106,8 @@ def _read_columns(
                 yield pick(row if len(row) >= width else row + [None] * (width - len(row)))
         except csv.Error as exc:
             raise CorpusFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise CorpusFormatError(_not_utf8(path)) from None
 
 
 def parse_aligned_causes(path: PathArg, fmt: CorpusFormat = CorpusFormat()) -> Iterator[CorpusRecord]:

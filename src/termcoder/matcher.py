@@ -16,7 +16,8 @@ filled as states are reached. Tokens sharing a prefix share its state, a
 dead state drops every token under it, and once no band cell is below
 *max_dist* the descent bisects straight to the runs of the few characters
 that can keep the state alive. Each surviving child's state is carried
-on into its grandchildren the same way. ``levenshtein_distance`` is kept
+on into its grandchildren the same way, when one of them is short enough
+to fit within *max_dist*. ``levenshtein_distance`` is kept
 as the standalone distance between two strings; matching does not call it.
 """
 
@@ -158,6 +159,9 @@ class _Automaton:
         self.delta: list[dict[int, int]] = []  # key -> next state
         self._ids: dict[tuple[int, ...], int] = {}
         self._starts: dict[int, int] = {}
+        # (word, what read returns) for the last word read, swapped as one
+        # tuple: a thread sees the old entry or the new one, never a mix.
+        self._last: tuple = (None, None)
         self._lock = threading.Lock()
         self._intern((k + 1,) * (2 * k + 1))
 
@@ -167,7 +171,13 @@ class _Automaton:
 
         Word position ``q`` owns bits ``2(q + k)`` (the character is
         ``word[q]``) and ``2(q + k) + 1`` (the position is in the word).
+        The result for the last word read is kept: every state of one pool
+        step reads the same token, and reading it again builds nothing.
+        Callers must not change the masks.
         """
+        last_word, setup = self._last
+        if last_word == word:
+            return setup
         k = self.max_dist
         n = len(word)
         other = ((1 << 2 * (n + k)) - 1) // 3 << 1  # the in-word bit of positions -k .. n-1
@@ -182,7 +192,9 @@ class _Automaton:
             with self._lock:
                 band = tuple(j if 0 <= j <= length else k + 1 for j in range(-k, k + 1))
                 start = self._starts[length] = self._intern(band)
-        return masks, other, start
+        setup = masks, other, start
+        self._last = word, setup
+        return setup
 
     def advance(self, state: int, key: int) -> int:
         """The state after *state* reads a character with *key*."""
@@ -241,6 +253,10 @@ def _automaton(max_dist: int) -> _Automaton:
 # max_dist is scanned one token at a time: on so few tokens, the
 # bookkeeping of a split costs more than the steps it saves.
 _LEAF_SIZE = 64
+
+# The sort key of a run split or jumped at prefix length p, made once per p
+# (deeper prefixes, rarer, build their own).
+_KEYS = tuple(map(itemgetter, range(32)))
 
 
 def _walk(
@@ -301,7 +317,10 @@ def _walk(
             if p in lengths:
                 yield tokens[lo], state
             lo += 1
-        key = itemgetter(p)
+        try:
+            key = _KEYS[p]
+        except IndexError:
+            key = itemgetter(p)
         runs = []
         if chars is None:  # split on every next character
             while lo < hi:
@@ -357,8 +376,11 @@ def match_token(
     grandchildren. Prefix states are shared, dead prefixes skipped, and a
     state with no band cell below *max_dist* bisects to the runs of the
     characters that can keep it, so a child or pair that is too far may
-    cost no step at all. The setup per call is one character-to-bitmask
-    dict for *input_token*.
+    cost no step at all, and a child whose grandchildren are all too long
+    for the length window starts no second walk. The setup is one
+    character-to-bitmask dict for *input_token*, built once per pool step:
+    ``_Automaton.read`` keeps it for the last token read, and every state of
+    a step matches the same token.
 
     *node* must belong to a frozen trie: the walk follows its
     ``sorted_tokens``, which fixes the order of the result: perfect,
@@ -391,9 +413,12 @@ def match_token(
             d = len(first)
             if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
                 matches.append(TokenMatch(MatchTechnique.LEVENSHTEIN, mid))
-            if mid.sorted_tokens:  # outside this window of lengths, cell n is out of the band
+            grand = mid.sorted_tokens
+            # Outside this window of lengths, cell n is out of the band: a child
+            # whose grandchildren are all too long starts no walk.
+            if grand and min(map(len, grand)) <= reach - d:
                 window = range(n - max_dist - d, reach - d + 1)
-                seconds = _walk(auto, input_token, masks, other, mid.sorted_tokens, state, d, window)
+                seconds = _walk(auto, input_token, masks, other, grand, state, d, window)
                 composed.extend(
                     TokenMatch(MatchTechnique.BIGRAM_LEVENSHTEIN, mid.children[second])
                     for second, last in seconds

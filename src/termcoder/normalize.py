@@ -40,22 +40,41 @@ def normalize_text(raw: str) -> str:
     return "".join(map(_char_fragment, raw))
 
 
+def _not_utf8(path: str | PathLike[str]) -> str:
+    """``"path:lineno: ..."`` for the first line of *path* that is not UTF-8.
+
+    A text reader decodes ahead of the line it hands out, so the line is
+    found again by decoding the file's bytes one line at a time.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"{path}:{lineno}: not UTF-8: {bad}"
+    return f"{path}: not UTF-8"
+
+
 def _read_word_list(path: str | PathLike[str] | None, resource: str) -> Iterator[tuple[str, str]]:
     """Yield ``("source:lineno", line)`` for the stripped lines of a UTF-8 word list.
 
     *path* None reads the packaged ``data/<resource>``. Blank lines and
     ``#`` comment lines are skipped. The file is read as ``utf-8-sig``, so
-    a byte-order mark cannot hide a comment on the first line.
+    a byte-order mark cannot hide a comment on the first line. A file that
+    is not UTF-8 raises ``ValueError`` naming ``path:lineno``.
     """
     if path is None:
         source, file = resource, resources.files("termcoder").joinpath("data").joinpath(resource)
     else:
         source, file = path, Path(path)
-    with file.open(encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield f"{source}:{lineno}", line
+    try:
+        with file.open(encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield f"{source}:{lineno}", line
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(file)) from None
 
 
 def load_stopwords(path: str | PathLike[str] | None = None) -> frozenset[str]:

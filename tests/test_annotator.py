@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termcoder import matcher
 from termcoder.annotator import MatchState, advance_states, annotate_line, select_longest
 from termcoder.matcher import (
     AbbreviationTable,
@@ -241,6 +242,32 @@ class TestAdvanceStates:
         got = advance_states(pool, "t", abbrevs=abbrevs)
         assert [(s.node.terminal.code, s.techniques) for s in got] == [("C1", (A, A)), ("C2", (P, A))]
         assert got[0].node is x.children["y"].children["z"]
+
+    def test_pool_step_builds_the_token_setup_once(self, monkeypatch):
+        # Every state of a step matches the same token: match_token runs once
+        # per state, and all the calls share one build of the token's masks.
+        trie = build_trie({"ab cd": "C1", "ab ce": "C2", "x cd": "C3", "y cf": "C4"})
+        pool = [MatchState(trie.root)] + [MatchState(trie.root.children[t]) for t in ("ab", "x", "y")]
+        walk, calls, masks = matcher._walk, 0, []
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return match_token(*args, **kwargs)
+
+        def recording(auto, word, token_masks, *rest):
+            masks.append(token_masks)
+            return walk(auto, word, token_masks, *rest)
+
+        monkeypatch.setattr("termcoder.annotator.match_token", counting)
+        monkeypatch.setattr(matcher, "_walk", recording)
+        monkeypatch.setattr(matcher, "_AUTOMATA", {})
+        got = advance_states(pool, "cdx", max_dist=1, fuzzy_min_len=1)
+        assert [s.node.terminal.code for s in got] == ["C1", "C3"]
+        assert calls == len(pool)
+        assert len(masks) >= len(pool)
+        assert all(m is masks[0] for m in masks)
+        assert masks[0] == matcher._Automaton(1).read("cdx")[0]
 
 
 def tie_trie():

@@ -62,6 +62,16 @@ class TestBuild:
         assert err.startswith(f"error: {corpus}:3: field larger than field limit")
         assert "Traceback" not in err
 
+    def test_corpus_not_utf8_fails_naming_file_and_line(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.csv", tmp_path / "latin1.csv"
+        write_rows(good, ["d1;1;AVC;avc;I640"])
+        rows = [HEADER, "d1;1;AVC;avc;I640", "d2;1;FIÈVRE;fièvre;R509"]
+        bad.write_bytes("\n".join(rows).encode("latin-1"))
+        assert main(["build", "--corpus", str(good), "--corpus", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:3: not UTF-8: ")
+        assert "Traceback" not in err
+
     def test_no_sources_fails(self, capsys):
         assert main(["build"]) == 1
         assert "no sources" in capsys.readouterr().err

@@ -107,6 +107,12 @@ class TestExpandAbbreviation:
         path.write_text("\ufeff# short forms\nins=insuffisance\n", encoding="utf-8")
         assert load_abbreviations(path).entries == {"ins": (("insuffisance",),)}
 
+    def test_file_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "abbrev.txt"
+        path.write_bytes("ins=insuffisance\nfi=fièvre\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: not UTF-8: ")):
+            load_abbreviations(path)
+
     @pytest.mark.parametrize("short", ["de", "d'"])
     def test_stopword_short_form_rejected(self, short):
         # tokenize drops a stopword, so no input token could ever match the entry
@@ -442,6 +448,60 @@ def test_descent_over_wide_nodes_equals_brute_force_reference(alphabet, rnd):
                 assert_matches_reference(
                     trie, EMPTY_ABBREVIATIONS, path, node, probe, max_dist, fuzzy_min_len, paths
                 )
+
+
+def short_grandchildren_trie():
+    """Every word over ``ab`` of 1 to 3 letters as a child of the root, each
+    with grandchildren of 1 and 2 letters, of 2 letters only, or of 1 only."""
+    firsts = ["".join(p) for r in (1, 2, 3) for p in itertools.product("ab", repeat=r)]
+    seconds = (("a", "b", "ab", "ba"), ("aa", "ab", "bb"), ("a", "b"))
+    paths = [(first, second) for i, first in enumerate(firsts) for second in seconds[i % 3]]
+    return build_trie({" ".join(path): f"C{i}" for i, path in enumerate(paths)})
+
+
+def test_composed_length_window_edge_equals_brute_force_reference():
+    # A child starts no grandchild walk when its shortest grandchild is longer
+    # than reach - d (reach = len(probe) + max_dist, d = len(child)). Both sides
+    # of that edge occur: composed matches whose grandchild has exactly
+    # reach - d letters, and children whose shortest grandchild has one more.
+    trie = short_grandchildren_trie()
+    paths = {id(node): path for path, node in node_paths(trie)}
+    probes = ["".join(p) for r in range(1, 6) for p in itertools.product("abx", repeat=r)]
+    at_edge = past_edge = 0
+    for max_dist in (1, 2):
+        for probe in probes:
+            assert_matches_reference(trie, EMPTY_ABBREVIATIONS, (), trie.root, probe, max_dist, 1, paths)
+            for first, mid in trie.root.children.items():
+                room = len(probe) + max_dist - len(first)
+                past_edge += min(map(len, mid.sorted_tokens)) == room + 1
+                at_edge += sum(
+                    len(second) == room and edit_distance_reference(probe, first + second) <= max_dist
+                    for second in mid.sorted_tokens
+                )
+    assert at_edge > 0 and past_edge > 0
+
+
+def test_child_with_only_long_grandchildren_starts_no_walk(monkeypatch):
+    trie = build_trie({"ab cdef": "C1", "ab cdeg": "C2", "abz": "C3"})
+    walk, walked = matcher._walk, []
+
+    def counting(auto, word, masks, other, tokens, *rest):
+        walked.append(tokens)
+        return walk(auto, word, masks, other, tokens, *rest)
+
+    monkeypatch.setattr(matcher, "_walk", counting)
+    # "ab" and "abz" are one edit from "abx"; "cdef" and "cdeg" leave room for none.
+    got = match_token("abx", trie.root, max_dist=1, fuzzy_min_len=1)
+    assert [(m.technique, m.target_node.token) for m in got] == [
+        (MatchTechnique.LEVENSHTEIN, "ab"),
+        (MatchTechnique.LEVENSHTEIN, "abz"),
+    ]
+    assert walked == [trie.root.sorted_tokens]
+    # A probe long enough for "cdef" and "cdeg" walks into them.
+    walked.clear()
+    got = match_token("abcde", trie.root, max_dist=1, fuzzy_min_len=1)
+    assert [m.target_node.terminal.code for m in got] == ["C1", "C2"]
+    assert walked == [trie.root.sorted_tokens, ("cdef", "cdeg")]
 
 
 class CountingRow(dict):
