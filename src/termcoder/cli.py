@@ -46,10 +46,20 @@ def _int_at_least(low: int):
     return parse
 
 
+def _one_character(text: str) -> str:
+    """An argparse type: a string of exactly one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
+
+
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("CSV format")
     group.add_argument(
-        "--delimiter", default=CorpusFormat.delimiter, help="CSV delimiter (default: %(default)r)"
+        "--delimiter",
+        type=_one_character,
+        default=CorpusFormat.delimiter,
+        help="CSV delimiter, one character (default: %(default)r)",
     )
     group.add_argument("--col-doc", default=CorpusFormat.col_doc, help="document id column")
     group.add_argument("--col-line", default=CorpusFormat.col_line, help="line id column")

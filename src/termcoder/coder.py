@@ -9,6 +9,7 @@ inserted into the trie as it is.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -72,6 +73,9 @@ def resolve_code(table: CodeFrequencyTable, key: tuple[str, ...]) -> str:
         codes = table.counts[key]
     except KeyError:
         raise KeyError(f"no codes recorded for term key {key!r}") from None
+    if len(codes) == 1:
+        (code,) = codes
+        return code
     return min(codes.items(), key=lambda item: (-item[1], item[0]))[0]
 
 
@@ -108,33 +112,50 @@ def assemble_dictionary(
     list terms are added only for token paths the corpus did not produce.
     A conflict is any key that saw more than one distinct code across all
     sources before resolution.
+
+    The cyclic garbage collector is paused while the build runs, for the
+    whole process, and left as it was found when the build ends or raises.
     """
     cfg = cfg or NormalizationConfig()
     if not spec.corpus_sources:
         raise DictionaryBuildError("no sources: at least one corpus file is required")
 
-    corpus_pairs = (
-        (record.standard_text or "", record.code or "")
-        for path in spec.corpus_sources
-        for record in parse_aligned_causes(path, spec.corpus_format)
-    )
-    list_pairs = (
-        pair for path in spec.external_term_lists for pair in read_term_list(path, spec.term_list_format)
-    )
-    strings: dict[str, str] = {}  # one object per distinct token and code
-    corpus, external = tally_terms(corpus_pairs, cfg, strings), tally_terms(list_pairs, cfg, strings)
+    # The build makes no reference cycles, so reference counting frees all
+    # it drops; the cyclic collector would only walk the growing trie again
+    # and again.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        corpus_pairs = (
+            (record.standard_text or "", record.code or "")
+            for path in spec.corpus_sources
+            for record in parse_aligned_causes(path, spec.corpus_format)
+        )
+        list_pairs = (
+            pair for path in spec.external_term_lists for pair in read_term_list(path, spec.term_list_format)
+        )
+        strings: dict[str, str] = {}  # one object per distinct token and code
+        corpus = tally_terms(corpus_pairs, cfg, strings)
+        external = tally_terms(list_pairs, cfg, strings)
 
-    conflicts = 0
-    codes: set[str] = set()
-    trie = DictionaryTrie()
-    for key in corpus.counts | external.counts:  # corpus keys first, then external-only ones
-        seen = corpus.counts.get(key, {}).keys() | external.counts.get(key, {}).keys()
-        conflicts += len(seen) > 1
-        source = corpus if key in corpus.counts else external
-        term = Term(source.labels[key], resolve_code(source, key))
-        trie.insert_term(key, term)
-        codes.add(term.code)
-    trie.freeze()
+        conflicts = 0
+        codes: set[str] = set()
+        trie = DictionaryTrie()
+        external_only = (key for key in external.counts if key not in corpus.counts)
+        for source, keys in ((corpus, corpus.counts), (external, external_only)):
+            for key in keys:
+                seen = source.counts[key]
+                if len(seen) > 1:
+                    conflicts += 1
+                elif source is corpus and key in external.counts:  # the term list may add a code
+                    conflicts += len(seen.keys() | external.counts[key].keys()) > 1
+                term = Term(source.labels[key], resolve_code(source, key))
+                trie.insert_term(key, term)
+                codes.add(term.code)
+        trie.freeze()
+    finally:
+        if collecting:
+            gc.enable()
 
     report = BuildReport(
         term_count=trie.term_count,

@@ -8,7 +8,6 @@ produce annotations on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,14 +83,11 @@ class DictionaryTrie:
         ``children`` mapping.
         """
         if not self._frozen:
-            for node in self.iter_nodes():
-                node.sorted_tokens = tuple(sorted(node.children))
+            stack = [self.root]
+            while stack:
+                node = stack.pop()
+                if node.children:
+                    node.sorted_tokens = tuple(sorted(node.children))
+                    stack.extend(node.children.values())
             self._frozen = True
         return self
-
-    def iter_nodes(self) -> Iterator[TrieNode]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children.values())

@@ -53,6 +53,15 @@ def iter_terms(trie: DictionaryTrie) -> Iterator[tuple[tuple[str, ...], Term]]:
         stack.extend((path + (token,), child) for token, child in node.children.items())
 
 
+def iter_nodes(trie: DictionaryTrie) -> Iterator[TrieNode]:
+    """Every node of *trie*, root first, by a depth-first walk."""
+    stack = [trie.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
 def heart_trie() -> DictionaryTrie:
     return build_trie(HEART_TERMS)
 

@@ -371,6 +371,23 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;", "\\t"])
+@pytest.mark.parametrize("command", ["build", "annotate", "eval"])
+def test_delimiter_not_one_character_rejected_at_parse_time(tmp_path, heart_corpus, capsys, command, delimiter):
+    out = tmp_path / "out.csv"
+    argv = {
+        "build": ["--corpus", str(heart_corpus)],
+        "annotate": ["--corpus", str(heart_corpus), "--input", str(heart_corpus), "--output", str(out)],
+        "eval": ["--gold", str(heart_corpus), "--pred", str(heart_corpus), "--output", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, f"--delimiter={delimiter}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --delimiter: must be exactly one character, got {delimiter!r}" in err
+    assert not out.exists()
+
+
 def test_build_annotate_eval_identity_recall(tmp_path, capsys):
     # A corpus whose raw text equals its standard text, one code per term:
     # every gold tuple must be recovered.

@@ -1,3 +1,4 @@
+import gc
 import tempfile
 from pathlib import Path
 
@@ -6,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termcoder import (
+    BuildReport,
+    CorpusFormatError,
     DictionaryBuildError,
     DictionarySpec,
     NormalizationConfig,
     assemble_dictionary,
 )
+from termcoder import coder
 from termcoder.coder import resolve_code, tally_terms
 
-from helpers import iter_terms, reference_dictionary
+from helpers import iter_nodes, iter_terms, reference_dictionary
 
 
 AMBIGUOUS_AVC = (
@@ -195,6 +199,66 @@ class TestAssemble:
         assert report.conflict_count == 1
 
 
+@pytest.fixture
+def collector():
+    """Set the cyclic collector's state in a test; it is restored afterwards."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """A build runs with the cyclic collector paused and leaves its state as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_restores_collector_state(self, tmp_path, monkeypatch, collector, enabled):
+        corpus = tmp_path / "train.csv"
+        write_corpus(corpus, [("avc", "I640"), ("asthme", "J459")])
+        during = []
+
+        def resolve(table, key):
+            during.append(gc.isenabled())
+            return resolve_code(table, key)
+
+        monkeypatch.setattr(coder, "resolve_code", resolve)
+        collector(enabled)
+        _, report = assemble_dictionary(DictionarySpec(corpus_sources=(corpus,)))
+        assert gc.isenabled() is enabled
+        assert during == [False, False]
+        assert report.term_count == 2
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_build_restores_collector_state(self, tmp_path, collector, enabled):
+        good, bad = tmp_path / "good.csv", tmp_path / "latin1.csv"
+        write_corpus(good, [("avc", "I640")])
+        rows = ["DocID;LineID;RawText;StandardText;ICD10", "d1;1;AVC;avc;I640", "d2;1;FIÈVRE;fièvre;R509"]
+        bad.write_bytes("\n".join(rows).encode("latin-1"))
+        collector(enabled)
+        with pytest.raises(CorpusFormatError, match="not UTF-8"):
+            assemble_dictionary(DictionarySpec(corpus_sources=(good, bad)))
+        assert gc.isenabled() is enabled
+
+    def test_build_leaves_no_cycles_for_the_collector(self, tmp_path, collector):
+        # Reference counting alone must free a dropped build: a cycle (a
+        # parent pointer in the trie, say) would pile up while paused.
+        corpus, terms = tmp_path / "train.csv", tmp_path / "icd.csv"
+        write_corpus(
+            corpus,
+            [("avc", "I640"), ("avc", "I64"), ("avc", "I640"), ("insuffisance cardiaque", "I50")]
+            + [("insuffisance cardiaque aigue", "I509"), ("insuffisance respiratoire", "J969")],
+        )
+        write_terms(terms, [("avc", "I64"), ("asthme", "J459"), ("asthme", "J450"), ("insuffisance", "I99")])
+        spec = DictionarySpec(corpus_sources=(corpus,), external_term_lists=(terms,))
+        collector(False)  # no automatic pass may free a cycle before the count
+        gc.collect()
+        report = assemble_dictionary(spec)[1]  # the trie is dropped at once
+        assert report == BuildReport(term_count=6, code_count=6, conflict_count=2, skipped_rows=0)
+        assert gc.collect() == 0
+
+
 def test_custom_stopwords_affect_keys():
     cfg = NormalizationConfig(stopwords=frozenset({"syndrome"}))
     table = tally_terms([("syndrome glissement", "R453")], cfg)
@@ -243,10 +307,10 @@ def test_build_matches_reference(corpus_rows, list_rows):
     assert {path: (t.label, t.code) for path, t in iter_terms(trie)} == want_terms
     assert report == want_report
 
-    leaves = [node for node in trie.iter_nodes() if not node.children]
+    leaves = [node for node in iter_nodes(trie) if not node.children]
     assert all(node.children is leaves[0].children for node in leaves)  # one shared empty mapping
     interned = {}  # equal tokens and codes, on any path and from either source, are one object
-    for node in trie.iter_nodes():
+    for node in iter_nodes(trie):
         assert node.sorted_tokens == tuple(sorted(node.children))
         for token, child in node.children.items():
             assert interned.setdefault(token, token) is token

@@ -27,6 +27,7 @@ from helpers import (
     composed_trie,
     edit_distance_reference,
     heart_trie,
+    iter_nodes,
     iter_terms,
     lookup_path,
     reference_match_token,
@@ -171,7 +172,7 @@ class TestMatchToken:
 
     def test_max_dist_zero_is_perfect_only(self):
         trie = composed_trie()
-        for node in trie.iter_nodes():
+        for node in iter_nodes(trie):
             for probe in ("meningoencephalite", "meningo", "virale", "encephalit", "zz"):
                 matches = match_token(probe, node, max_dist=0)
                 expected = node.children.get(probe)
@@ -203,7 +204,7 @@ class TestMatchToken:
     def test_targets_confined_to_current_position(self):
         trie = heart_trie()
         table = AbbreviationTable.build({"ins": "insuffisance"})
-        for node in trie.iter_nodes():
+        for node in iter_nodes(trie):
             near = set(node.children.values())
             near.update(g for c in node.children.values() for g in c.children.values())
             for probe in ("ins", "insuffisance", "cardiaqu", "respiratoire", "aigue"):
@@ -214,7 +215,7 @@ class TestMatchToken:
 def composed_pairs(trie, probe):
     """(first, second) token pairs a composed-word match of *probe* reaches, from any node."""
     pairs = set()
-    for node in trie.iter_nodes():
+    for node in iter_nodes(trie):
         for m in match_token(probe, node, max_dist=1):
             if m.technique is MatchTechnique.BIGRAM_LEVENSHTEIN:
                 first = next(t for t, c in node.children.items() if m.target_node in c.children.values())
@@ -615,7 +616,7 @@ def test_automaton_table_stays_bounded(k):
 def test_concurrent_annotation_equals_serial(monkeypatch):
     rnd = random.Random(11)
     trie, _, probes = wide_trie(rnd, "abcd")
-    vocab = [token for node in trie.iter_nodes() for token in node.sorted_tokens]
+    vocab = [token for node in iter_nodes(trie) for token in node.sorted_tokens]
     lines = [
         " ".join(rnd.choice(probes + vocab) for _ in range(rnd.randint(1, 8))) for _ in range(12)
     ]

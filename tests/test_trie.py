@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from termcoder import trie as trie_module
 from termcoder.trie import DictionaryTrie, Term, TrieNode
 
-from helpers import heart_trie, lookup_path
+from helpers import heart_trie, iter_nodes, lookup_path
 
 
 class TestInsert:
@@ -102,7 +102,7 @@ class TestCounts:
         trie = DictionaryTrie()
         trie.insert_term(("a", "b"), Term("a b", "C1"))
         trie.insert_term(("a", "c"), Term("a c", "C2"))
-        assert sum(1 for _ in trie.iter_nodes()) == 4  # root, a, b, c
+        assert sum(1 for _ in iter_nodes(trie)) == 4  # root, a, b, c
 
 
 token = st.text(alphabet="abcdef", min_size=1, max_size=5)
@@ -127,4 +127,4 @@ def test_node_count_equals_distinct_prefixes_plus_root(term_paths):
     for path in term_paths:
         trie.insert_term(path, Term(" ".join(path), "C0"))
     prefixes = {path[:i] for path in term_paths for i in range(1, len(path) + 1)}
-    assert sum(1 for _ in trie.iter_nodes()) == len(prefixes) + 1
+    assert sum(1 for _ in iter_nodes(trie)) == len(prefixes) + 1
