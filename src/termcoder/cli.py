@@ -7,6 +7,7 @@ nonzero on any error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -154,35 +155,45 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     trie, report = assemble_dictionary(_dictionary_spec(args), cfg)
     logger.info("dictionary ready: %s", report.summary())
 
-    fmt = _corpus_format(args)
-    lines: dict[tuple[str, str], str] = {}
-    conflicts: dict[tuple[str, str], None] = {}
-    for record in parse_aligned_causes(args.input, fmt):  # raw text repeats once per code
-        key = (record.doc_id, record.line_id)
-        if lines.setdefault(key, record.raw_text) != record.raw_text:
-            conflicts[key] = None
-    if conflicts:
-        doc_id, line_id = next(iter(conflicts))
-        logger.warning(
-            "%d lines have rows with differing raw text (first: doc %s line %s); "
-            "annotating the first row's text",
-            len(conflicts),
-            doc_id,
-            line_id,
-        )
+    # The command owns its process, so it can exempt every object alive now,
+    # the trie above all, from the collections that annotating triggers:
+    # then none of them walks the trie again. A caller that had frozen
+    # objects keeps them frozen.
+    thawed = gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        fmt = _corpus_format(args)
+        lines: dict[tuple[str, str], str] = {}
+        conflicts: dict[tuple[str, str], None] = {}
+        for record in parse_aligned_causes(args.input, fmt):  # raw text repeats once per code
+            key = (record.doc_id, record.line_id)
+            if lines.setdefault(key, record.raw_text) != record.raw_text:
+                conflicts[key] = None
+        if conflicts:
+            doc_id, line_id = next(iter(conflicts))
+            logger.warning(
+                "%d lines have rows with differing raw text (first: doc %s line %s); "
+                "annotating the first row's text",
+                len(conflicts),
+                doc_id,
+                line_id,
+            )
 
-    results = [
-        AnnotatedLine(
-            doc_id,
-            line_id,
-            raw,
-            tuple(annotate_line(raw, trie, cfg, abbrevs, args.max_dist, args.fuzzy_min_len)),
-        )
-        for (doc_id, line_id), raw in lines.items()
-    ]
-    count = write_annotations(results, args.output, fmt)
-    print(f"lines={len(results)} annotations={count}")
-    return 0
+        results = [
+            AnnotatedLine(
+                doc_id,
+                line_id,
+                raw,
+                tuple(annotate_line(raw, trie, cfg, abbrevs, args.max_dist, args.fuzzy_min_len)),
+            )
+            for (doc_id, line_id), raw in lines.items()
+        ]
+        count = write_annotations(results, args.output, fmt)
+        print(f"lines={len(results)} annotations={count}")
+        return 0
+    finally:
+        if thawed:
+            gc.unfreeze()
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

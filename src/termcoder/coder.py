@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import CorpusFormat, TermListFormat, parse_aligned_causes, read_term_list
-from .normalize import NormalizationConfig, tokenize
+from .normalize import NormalizationConfig, label_tokens
 from .trie import DictionaryTrie, Term
 
 class DictionaryBuildError(ValueError):
@@ -51,7 +51,7 @@ def tally_terms(
     table = CodeFrequencyTable()
     counts, labels = table.counts, table.labels
     for label, code in pairs:
-        path = tokenize(label, cfg).tokens if label and code else ()
+        path = label_tokens(label, cfg) if label and code else ()
         if not path:
             table.skipped_rows += 1
             continue

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from operator import itemgetter
 from os import PathLike
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .annotator import Annotation
 from .normalize import _not_utf8
@@ -53,8 +53,9 @@ class TermListFormat:
     code_column: str = "code"
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
+    """One corpus row; a named tuple is cheaper to make than a frozen dataclass."""
+
     doc_id: str
     line_id: str
     raw_text: str

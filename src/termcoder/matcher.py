@@ -31,7 +31,7 @@ from operator import itemgetter
 from os import PathLike
 from typing import Iterable, Iterator, NamedTuple
 
-from .normalize import NormalizationConfig, _read_word_list, normalize_text, tokenize
+from .normalize import NormalizationConfig, _read_word_list, label_tokens, normalize_text
 from .trie import TrieNode
 
 DEFAULT_MAX_DISTANCE = 1
@@ -80,7 +80,7 @@ class AbbreviationTable:
                 raise ValueError(f"abbreviation {key!r} is a stopword")
             raw_expansions = [value] if isinstance(value, str) else list(value)
             for raw in raw_expansions:
-                expansion = tokenize(raw, cfg).tokens
+                expansion = label_tokens(raw, cfg)
                 if not expansion or expansion == (short,):
                     continue
                 bucket = entries.setdefault(short, [])

@@ -158,6 +158,20 @@ def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
     return TokenizedText(tuple(tokens), tuple(offsets))
 
 
+def label_tokens(raw: str, cfg: NormalizationConfig | None = None) -> tuple[str, ...]:
+    """``tokenize(raw, cfg).tokens``, without the offsets a label never needs.
+
+    The dictionary build and the abbreviation table key terms by tokens
+    alone, so the translated text is split on whitespace (the same runs
+    ``tokenize`` finds) and no span is made.
+    """
+    stopwords = default_stopwords() if cfg is None else cfg.stopwords
+    text = raw.translate(_FRAGMENTS)
+    if _SENTINEL in text:
+        return _tokenize_loop(raw, stopwords).tokens
+    return tuple([token for token in text.split() if token not in stopwords])
+
+
 def _tokenize_loop(raw: str, stopwords: frozenset[str]) -> TokenizedText:
     """``tokenize`` one character at a time, for any fragment length."""
     tokens: list[str] = []

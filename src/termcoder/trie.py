@@ -80,14 +80,18 @@ class DictionaryTrie:
         Matching scans children in ``sorted_tokens`` order, so tie order does
         not depend on insertion order; a frozen trie is never mutated and can
         be shared by concurrent readers. Every leaf shares one empty
-        ``children`` mapping.
+        ``children`` mapping, and all nodes with the same child tokens share
+        one ``sorted_tokens`` tuple.
         """
         if not self._frozen:
+            shared: dict[tuple[str, ...], tuple[str, ...]] = {}
             stack = [self.root]
             while stack:
                 node = stack.pop()
-                if node.children:
-                    node.sorted_tokens = tuple(sorted(node.children))
-                    stack.extend(node.children.values())
+                children = node.children
+                if children:
+                    tokens = tuple(children) if len(children) == 1 else tuple(sorted(children))
+                    node.sorted_tokens = shared.setdefault(tokens, tokens)
+                    stack.extend(children.values())
             self._frozen = True
         return self

@@ -1,12 +1,21 @@
+import gc
 import json
 import logging
 from importlib import resources
 
 import pytest
 
-from termcoder import DictionarySpec, assemble_dictionary, evaluate
+from termcoder import DictionarySpec, annotate_line, assemble_dictionary, evaluate, load_abbreviations
+from termcoder import cli
 from termcoder.cli import main
-from termcoder.corpus import gold_code_tuples, parse_aligned_causes, predicted_code_tuples, read_annotation_rows
+from termcoder.corpus import (
+    AnnotatedLine,
+    gold_code_tuples,
+    parse_aligned_causes,
+    predicted_code_tuples,
+    read_annotation_rows,
+    write_annotations,
+)
 
 from helpers import lookup_path
 
@@ -296,6 +305,46 @@ class TestAnnotate:
             got = self._annotate_rows(tmp_path, heart_corpus, rows)
         assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert [r.code for r in got] == ["I50"]
+
+    @pytest.mark.parametrize("caller_froze", [False, True])
+    def test_collector_frozen_while_annotating_then_restored(
+        self, tmp_path, heart_corpus, monkeypatch, caller_froze
+    ):
+        rows = ["d1;1;INS CARDIAQU AIGUE;;", "d2;1;INSUFFISANCE RESPIRATOIRE;;", "d3;1;DECES;;"]
+        test_file, out_file = tmp_path / "test.csv", tmp_path / "pred.csv"
+        write_rows(test_file, rows)
+        counts = []
+        original = cli.annotate_line
+
+        def counting(*args):
+            counts.append(gc.get_freeze_count())
+            return original(*args)
+
+        monkeypatch.setattr(cli, "annotate_line", counting)
+        assert gc.get_freeze_count() == 0
+        if caller_froze:
+            gc.freeze()
+        before = gc.get_freeze_count()
+        try:
+            argv = ["annotate", "--corpus", str(heart_corpus), "--input", str(test_file)]
+            assert main([*argv, "--output", str(out_file)]) == 0
+            after = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert len(counts) == 3 and min(counts) > before  # the dictionary was frozen for every line
+        if caller_froze:
+            assert after >= before > 0  # what the caller froze stays frozen
+        else:
+            assert after == 0
+        # The CSV is the one the library's annotations give, written without a freeze.
+        trie, _ = assemble_dictionary(DictionarySpec(corpus_sources=(heart_corpus,)))
+        abbrevs = load_abbreviations()
+        expected = [
+            AnnotatedLine(doc, line, raw, tuple(annotate_line(raw, trie, None, abbrevs)))
+            for doc, line, raw, _, _ in parse_aligned_causes(test_file)
+        ]
+        assert write_annotations(expected, tmp_path / "expected.csv") == 2
+        assert out_file.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestEval:

@@ -230,6 +230,15 @@ class TestCollectorPause:
         assert during == [False, False]
         assert report.term_count == 2
 
+    def test_build_freezes_nothing(self, tmp_path):
+        # gc.freeze() would also exempt the caller's objects; only the CLI,
+        # which owns its process, freezes after a build.
+        corpus = tmp_path / "train.csv"
+        write_corpus(corpus, [("avc", "I640")])
+        assert gc.get_freeze_count() == 0
+        assemble_dictionary(DictionarySpec(corpus_sources=(corpus,)))
+        assert gc.get_freeze_count() == 0
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_failed_build_restores_collector_state(self, tmp_path, collector, enabled):
         good, bad = tmp_path / "good.csv", tmp_path / "latin1.csv"

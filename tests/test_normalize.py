@@ -9,6 +9,7 @@ from termcoder import normalize
 from termcoder.normalize import (
     NormalizationConfig,
     default_stopwords,
+    label_tokens,
     load_stopwords,
     normalize_text,
     tokenize,
@@ -174,6 +175,48 @@ class TestTokenizePaths:
         assert (got.tokens, got.offsets) == reference_tokenize(raw)
         # The table still serves lines after it was emptied.
         assert tokenize("AVC massif").offsets == ((0, 3), (4, 10))
+
+
+class TestLabelTokens:
+    """``label_tokens`` gives ``tokenize(...).tokens`` without the offsets, by a
+    whitespace split or, on a fragment that is not one character, the loop."""
+
+    CONFIGS = (NormalizationConfig(), NormalizationConfig(stopwords=frozenset()))
+
+    def check(self, raw):
+        for cfg in self.CONFIGS:
+            got = label_tokens(raw, cfg)
+            assert got == tokenize(raw, cfg).tokens
+            assert got == reference_tokenize(raw, cfg.stopwords)[0]
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.characters(),
+                st.sampled_from(
+                    ["\u0301", "\u0130", "\u00df", "\ufb01", "\u00a0", "\u00e9", "\u00cb", "\uac00", "d", "l", "e", " "]
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_mixed_text_equals_tokenize_and_reference(self, raw):
+        for form in ("NFC", "NFD"):  # decomposed: marks stand alone and take the loop
+            self.check(unicodedata.normalize(form, raw))
+
+    @pytest.mark.parametrize("raw", ["\u0301", "\u0301\u0301", "\uac00\uac00", "\ufb01x", "\u0130\u00df"])
+    def test_alone_and_doubled(self, raw):
+        self.check(raw)
+
+    def test_every_whitespace_character_splits_as_tokenize(self):
+        spaces = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+        assert len(spaces) > 20
+        for space in spaces:
+            self.check("ab" + space + "cd de" + space)
+
+    def test_default_config(self):
+        assert label_tokens("SYNDROME DE GLISEMENT") == ("syndrome", "glisement")
 
 
 class TestStopwords:

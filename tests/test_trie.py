@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from termcoder import trie as trie_module
 from termcoder.trie import DictionaryTrie, Term, TrieNode
 
-from helpers import heart_trie, iter_nodes, lookup_path
+from helpers import build_trie, heart_trie, iter_nodes, lookup_path
 
 
 class TestInsert:
@@ -128,3 +128,31 @@ def test_node_count_equals_distinct_prefixes_plus_root(term_paths):
         trie.insert_term(path, Term(" ".join(path), "C0"))
     prefixes = {path[:i] for path in term_paths for i in range(1, len(path) + 1)}
     assert sum(1 for _ in iter_nodes(trie)) == len(prefixes) + 1
+
+
+class TestFreeze:
+    def check_shared(self, trie):
+        """Every node's tokens are its sorted children, one tuple per token set."""
+        seen = {}
+        for node in iter_nodes(trie):
+            assert node.sorted_tokens == tuple(sorted(node.children))
+            assert seen.setdefault(frozenset(node.children), node.sorted_tokens) is node.sorted_tokens
+
+    def test_equal_child_sets_share_one_tuple(self):
+        # "a" and "b" get children x and y in opposite orders; "c", "d" and "x" under "a" end in "z".
+        terms = ("a x", "a y", "b y", "b x", "c z", "d z", "a x z")
+        trie = build_trie({label: f"C{i}" for i, label in enumerate(terms)})
+        a, b = trie.root.children["a"], trie.root.children["b"]
+        assert a.sorted_tokens == ("x", "y")
+        assert a.sorted_tokens is b.sorted_tokens
+        ends = [lookup_path(trie, path).sorted_tokens for path in (("c",), ("d",), ("a", "x"))]
+        assert ends == [("z",)] * 3
+        assert ends[0] is ends[1] is ends[2]
+        self.check_shared(trie)
+
+    @given(st.lists(paths, max_size=40))
+    def test_random_term_sets(self, term_paths):
+        trie = DictionaryTrie()
+        for path in term_paths:
+            trie.insert_term(path, Term(" ".join(path), "C0"))
+        self.check_shared(trie.freeze())
