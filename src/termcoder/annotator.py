@@ -1,20 +1,19 @@
 """Longest-match annotation over a frozen dictionary trie.
 
 The engine resolves one start token at a time, leftmost first. From the
-trie root it advances a pool of traversal states through the following
-tokens, forking a state once per way a token can match, until no state
-survives or the line ends. A state is a trie node and the technique trail
-that reached it. The last step that put a state on a term node consumed
-the most tokens, so that step's best term is committed, and the scan goes
-on after the committed span; if no step reached a term node, it goes on
-at the next token. The result is a deterministic, non-overlapping,
+trie root it advances a pool through the following tokens, until the pool
+empties or the line ends. The pool maps each trie node reached to the
+technique trail that reached it, and each node forks once per way a token
+can match. The last step that reached a term node consumed the most
+tokens, so that step's best term is committed, and the scan goes on after
+the committed span; if no step reached a term node, it goes on at the
+next token. The result is a deterministic, non-overlapping,
 leftmost-longest annotation list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .matcher import (
     DEFAULT_FUZZY_MIN_LENGTH,
@@ -26,13 +25,6 @@ from .matcher import (
 )
 from .normalize import NormalizationConfig, tokenize
 from .trie import DictionaryTrie, TrieNode
-
-
-class MatchState(NamedTuple):
-    """A live traversal position: trie node and technique trail."""
-
-    node: TrieNode
-    techniques: tuple[MatchTechnique, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -50,76 +42,61 @@ class Annotation:
 
 
 def advance_states(
-    states: list[MatchState],
+    pool: dict[TrieNode, tuple[MatchTechnique, ...]],
     input_token: str,
     *,
     abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
     max_dist: int = DEFAULT_MAX_DISTANCE,
     fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
-) -> list[MatchState]:
-    """Advance every state across *input_token*.
+) -> dict[TrieNode, tuple[MatchTechnique, ...]]:
+    """The pool after *input_token*: each node reached, mapped to its trail.
 
-    Each state forks once per candidate ``match_token`` lists, in its
-    order; a state with no match dies. Successors on one node may come
-    from two states, or from one state whose abbreviation target is also
-    a fuzzy target. Of these twins, only the first with the smallest
-    technique sum is kept, in its place: the others could never be
-    selected (see ``_drop_twins``, the one place twins are dropped).
+    Each entry of *pool* forks once per candidate ``match_token`` lists, in
+    its order; an entry with no match dies. Nodes keep the order in which
+    they were first reached, and *pool* itself is left unchanged.
+
+    Two trails may reach one node: from two entries, or from one entry whose
+    abbreviation target is also a fuzzy target. Of these twins, only the
+    first with the smallest technique sum is kept; a cheaper twin moves the
+    node to its own place. Twins on one node have the same continuations,
+    so each continuation of a dropped twin has a continuation of the kept
+    one beside it, with a sum no larger and on the same term. When the sums
+    are equal, the kept one comes first in every later pool.
+    ``select_longest`` would never pick the dropped one, so the result does
+    not change. A twin from the entry that made an earlier one comes later
+    in technique order, so its sum is larger and it is always dropped.
     Every technique descends at least one trie level, so after the j-th
-    token of a start the pool holds at most one state per node of depth j
-    or more.
+    token of a start the pool holds at most one entry per node of depth j
+    or more, instead of doubling with each ambiguous short form.
     """
-    successors = []  # a loop, not a comprehension: one call fewer per token on CPython 3.11
-    for state in states:
-        for match in match_token(
-            input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
+    successors: dict[TrieNode, tuple[MatchTechnique, ...]] = {}
+    for node, trail in pool.items():
+        for technique, target in match_token(
+            input_token, node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
         ):
-            successors.append(MatchState(match.target_node, state.techniques + (match.technique,)))
-    return _drop_twins(successors) if len(successors) > 1 else successors
+            if target not in successors:
+                successors[target] = trail + (technique,)
+            elif sum(trail) + technique < sum(successors[target]):
+                del successors[target]  # re-insert, so the node moves to the cheaper twin's place
+                successors[target] = trail + (technique,)
+    return successors
 
 
-def _drop_twins(states: list[MatchState]) -> list[MatchState]:
-    """*states* without each state that shares its node with an earlier state
-    of equal technique sum, or with any state of a smaller one.
+def select_longest(
+    pool: dict[TrieNode, tuple[MatchTechnique, ...]],
+) -> tuple[TrieNode, tuple[MatchTechnique, ...]] | None:
+    """Best (node, trail) entry on a term node in one step's pool, or None.
 
-    Twins on one node have the same continuations, so each continuation of a
-    dropped twin has a continuation of the kept one beside it, with a sum
-    no larger and on the same term. When the sums are equal, the kept one
-    comes first in every later pool. ``select_longest`` would never pick the
-    dropped one, so the result does not change, and the pool stays bounded
-    by the trie instead of doubling with each ambiguous short form. A twin
-    from the state that made an earlier one comes later in technique
-    order, so its sum is larger and it is always dropped.
-    """
-    best: dict[TrieNode, tuple[int, MatchState]] = {}
-    for state in states:
-        cost = sum(state.techniques)
-        kept = best.get(state.node)
-        if kept is None:
-            best[state.node] = (cost, state)
-        elif cost < kept[0]:  # re-insert, so the node moves to the cheaper twin's place
-            del best[state.node]
-            best[state.node] = (cost, state)
-    return states if len(best) == len(states) else [state for _, state in best.values()]
-
-
-def select_longest(states: list[MatchState]) -> MatchState | None:
-    """Best state on a term node in one step's pool, or None.
-
-    Every state in the pool consumed the same tokens; the smallest
+    Every trail in the pool consumed the same tokens; the smallest
     technique priority sum wins (perfect beats fuzzy), then the smallest
-    term label, then the smallest code, then the first state in pool order.
+    term label, then the smallest code, then the first entry in pool order.
     """
-    if len(states) == 1:
-        (state,) = states
-        return state if state.node.terminal is not None else None
+    if len(pool) == 1:
+        (hit,) = pool.items()
+        return hit if hit[0].terminal is not None else None
     return min(
-        (state for state in states if state.node.terminal is not None),
-        key=lambda state: (
-            sum(state.techniques),
-            state.node.terminal.label,
-            state.node.terminal.code,
-        ),
+        (hit for hit in pool.items() if hit[0].terminal is not None),
+        key=lambda hit: (sum(hit[1]), hit[0].terminal.label, hit[0].terminal.code),
         default=None,
     )
 
@@ -136,9 +113,9 @@ def annotate_line(
 
     Greedy leftmost-longest: from each start token, ``advance_states``
     steps the pool until it empties or the line ends, and after each step
-    ``select_longest`` picks that step's best state on a term node. The
-    last step with such a state consumed the most tokens; its state's term
-    is committed. The scan then resumes after that term, or at the next
+    ``select_longest`` picks that step's best entry on a term node. The
+    last step with such an entry consumed the most tokens; its term is
+    committed. The scan then resumes after that term, or at the next
     token when there is none, so tokens inside a committed span never
     start a search, and no backtracking trades a committed match for a
     longer one further right.
@@ -155,28 +132,29 @@ def annotate_line(
     tokens, offsets = text.tokens, text.offsets
 
     annotations: list[Annotation] = []
-    root = [MatchState(trie.root)]  # advance_states never mutates a pool: every start shares it
+    root = {trie.root: ()}  # advance_states never mutates a pool: every start shares it
     start = 0
     while start < len(tokens):
-        states = root
+        pool = root
         best, end = None, start
         for index in range(start, len(tokens)):
-            states = advance_states(
-                states,
+            pool = advance_states(
+                pool,
                 tokens[index],
                 abbrevs=abbrevs,
                 max_dist=max_dist,
                 fuzzy_min_len=fuzzy_min_len,
             )
-            if not states:
+            if not pool:
                 break
-            hit = select_longest(states)
+            hit = select_longest(pool)
             if hit is not None:
                 best, end = hit, index
         if best is None:
             start += 1
             continue
-        term = best.node.terminal
+        node, trail = best
+        term = node.terminal
         annotations.append(
             Annotation(
                 start_char=offsets[start][0],
@@ -186,7 +164,7 @@ def annotate_line(
                 matched_tokens=tokens[start : end + 1],
                 term_label=term.label,
                 code=term.code,
-                techniques=best.techniques,
+                techniques=trail,
             )
         )
         start = end + 1

@@ -368,7 +368,7 @@ def match_token(
     perfect and abbreviation matches remain. Every candidate is listed,
     so an abbreviation target that is also within *max_dist* appears a
     second time under its fuzzy technique; the state pool keeps only the
-    strongest (see ``annotator._drop_twins``).
+    strongest (see ``annotator.advance_states``).
 
     Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
     each surviving child's automaton state (see ``_Automaton``) decides

@@ -5,6 +5,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from termcoder import BuildReport, DictionaryTrie, MatchTechnique, NormalizationConfig
+from termcoder.matcher import match_token
 from termcoder.normalize import tokenize
 from termcoder.trie import Term, TrieNode
 
@@ -221,6 +222,46 @@ def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
         neg_end, total, label, code = best
         found.append((start, -neg_end, label, code, total))
         start = -neg_end + 1
+    return found
+
+
+def annotate_keeping_twins(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
+    """Greedy leftmost-longest annotation whose pool keeps every fork, as
+    (start_token, end_token, label, code, techniques) tuples.
+
+    The pool is a list of (node, trail) pairs. Each step forks every pair
+    once per ``match_token`` candidate, and a node reached along two trails
+    stays in the list twice. Each step picks the pair on a term node with
+    the smallest (technique sum, label, code), the first in list order of
+    equal keys: the rule of ``select_longest``. The last step with such a
+    pair is committed. The pool-bound tests compare annotate_line against
+    it, trails included.
+    """
+    found = []
+    start = 0
+    while start < len(tokens):
+        pool, best = [(trie.root, ())], None
+        for index in range(start, len(tokens)):
+            pool = [
+                (target, trail + (technique,))
+                for node, trail in pool
+                for technique, target in match_token(
+                    tokens[index], node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
+                )
+            ]
+            hit = min(
+                (pair for pair in pool if pair[0].terminal is not None),
+                key=lambda pair: (sum(pair[1]), pair[0].terminal.label, pair[0].terminal.code),
+                default=None,
+            )
+            if hit is not None:
+                best = (index, hit)
+        if best is None:
+            start += 1
+            continue
+        end, (node, trail) = best
+        found.append((start, end, node.terminal.label, node.terminal.code, trail))
+        start = end + 1
     return found
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termcoder import matcher
-from termcoder.annotator import MatchState, advance_states, annotate_line, select_longest
+from termcoder.annotator import advance_states, annotate_line, select_longest
 from termcoder.matcher import (
     AbbreviationTable,
     MatchTechnique,
@@ -18,6 +18,7 @@ from termcoder.trie import DictionaryTrie, Term
 
 from helpers import (
     NO_STOPWORDS,
+    annotate_keeping_twins,
     build_trie,
     composed_trie,
     heart_trie,
@@ -204,28 +205,27 @@ class TestRootSearches:
 class TestAdvanceStates:
     def test_forks_once_per_match(self):
         trie = composed_trie()
-        successors = advance_states([MatchState(trie.root)], "meningoencephalite")
+        successors = advance_states({trie.root: ()}, "meningoencephalite")
         assert len(successors) == 2
-        assert {s.node.token for s in successors} == {"meningoencephalite", "encephalite"}
+        assert {node.token for node in successors} == {"meningoencephalite", "encephalite"}
 
     def test_empty_pool_spawns_fresh_root_attempt(self):
         trie = heart_trie()
-        successors = advance_states([MatchState(trie.root)], "insuffisance")
-        assert len(successors) == 1
-        assert successors[0].node.token == "insuffisance"
-        assert successors[0].node.terminal is None
+        successors = advance_states({trie.root: ()}, "insuffisance")
+        node = trie.root.children["insuffisance"]
+        assert list(successors.items()) == [(node, (MatchTechnique.PERFECT,))]
+        assert node.terminal is None
 
     def test_states_with_no_match_die(self):
         trie = heart_trie()
-        assert advance_states([MatchState(trie.root)], "zzz") == []
+        assert advance_states({trie.root: ()}, "zzz") == {}
 
     def test_successor_lands_on_term_node(self):
         trie = heart_trie()
-        states = advance_states([MatchState(trie.root)], "insuffisance")
-        states = advance_states(states, "cardiaque")
-        hits = [s for s in states if s.node.terminal is not None]
-        assert [h.node.terminal.label for h in hits] == ["insuffisance cardiaque"]
-        assert hits[0].techniques == (MatchTechnique.PERFECT,) * 2
+        pool = advance_states({trie.root: ()}, "insuffisance")
+        pool = advance_states(pool, "cardiaque")
+        hits = [(node.terminal.label, trail) for node, trail in pool.items() if node.terminal]
+        assert hits == [("insuffisance cardiaque", (MatchTechnique.PERFECT,) * 2)]
 
     def test_twins_keep_the_smallest_sum_in_its_place(self):
         # From "x" (sum 2) and from "x y" (sum 1), "t" reaches "x y z" by two
@@ -234,20 +234,20 @@ class TestAdvanceStates:
         abbrevs = AbbreviationTable.build({"t": ["y z", "z"]}, NO_STOPWORDS)
         x, q = trie.root.children["x"], trie.root.children["q"]
         A, L, P = MatchTechnique.ABBREVIATION, MatchTechnique.LEVENSHTEIN, MatchTechnique.PERFECT
-        pool = [MatchState(x, (L,)), MatchState(q, (P,)), MatchState(x.children["y"], (A,))]
-        got = advance_states(pool, "t", abbrevs=abbrevs)
-        assert [(s.node.terminal.code, s.techniques) for s in got] == [("C2", (P, A)), ("C1", (A, A))]
+        got = advance_states({x: (L,), q: (P,), x.children["y"]: (A,)}, "t", abbrevs=abbrevs)
+        codes = [(node.terminal.code, trail) for node, trail in got.items()]
+        assert codes == [("C2", (P, A)), ("C1", (A, A))]
         # Of twins with equal sums, the first stays.
-        pool = [MatchState(x, (A,)), MatchState(q, (P,)), MatchState(x.children["y"], (A,))]
-        got = advance_states(pool, "t", abbrevs=abbrevs)
-        assert [(s.node.terminal.code, s.techniques) for s in got] == [("C1", (A, A)), ("C2", (P, A))]
-        assert got[0].node is x.children["y"].children["z"]
+        got = advance_states({x: (A,), q: (P,), x.children["y"]: (A,)}, "t", abbrevs=abbrevs)
+        codes = [(node.terminal.code, trail) for node, trail in got.items()]
+        assert codes == [("C1", (A, A)), ("C2", (P, A))]
+        assert next(iter(got)) is x.children["y"].children["z"]
 
     def test_pool_step_builds_the_token_setup_once(self, monkeypatch):
         # Every state of a step matches the same token: match_token runs once
         # per state, and all the calls share one build of the token's masks.
         trie = build_trie({"ab cd": "C1", "ab ce": "C2", "x cd": "C3", "y cf": "C4"})
-        pool = [MatchState(trie.root)] + [MatchState(trie.root.children[t]) for t in ("ab", "x", "y")]
+        pool = {trie.root: ()} | {trie.root.children[t]: () for t in ("ab", "x", "y")}
         walk, calls, masks = matcher._walk, 0, []
 
         def counting(*args, **kwargs):
@@ -263,7 +263,7 @@ class TestAdvanceStates:
         monkeypatch.setattr(matcher, "_walk", recording)
         monkeypatch.setattr(matcher, "_AUTOMATA", {})
         got = advance_states(pool, "cdx", max_dist=1, fuzzy_min_len=1)
-        assert [s.node.terminal.code for s in got] == ["C1", "C3"]
+        assert [node.terminal.code for node in got] == ["C1", "C3"]
         assert calls == len(pool)
         assert len(masks) >= len(pool)
         assert all(m is masks[0] for m in masks)
@@ -291,34 +291,31 @@ class TestSelectLongest:
 
     def test_no_terminals(self):
         trie = heart_trie()
-        assert select_longest([MatchState(trie.root)]) is None
+        assert select_longest({trie.root: ()}) is None
         interior = trie.root.children["insuffisance"]
-        assert select_longest([MatchState(interior, (self.P,))]) is None
+        assert select_longest({interior: (self.P,)}) is None
+        assert select_longest({trie.root: (), interior: (self.P,)}) is None
 
     def test_technique_priority_breaks_ties(self):
         trie = tie_trie()
-        fuzzy = MatchState(trie.root.children["t"], (self.L,))
-        clean = MatchState(trie.root.children["u"], (self.A,))
-        assert select_longest([fuzzy, clean]) is clean
+        fuzzy, clean = (trie.root.children["t"], (self.L,)), (trie.root.children["u"], (self.A,))
+        assert select_longest(dict([fuzzy, clean])) == clean
 
     def test_label_breaks_remaining_ties(self):
         trie = tie_trie()
-        first = MatchState(trie.root.children["t"], (self.P,))
-        second = MatchState(trie.root.children["u"], (self.P,))
-        assert select_longest([second, first]) is first
+        first, second = (trie.root.children["t"], (self.P,)), (trie.root.children["u"], (self.P,))
+        assert select_longest(dict([second, first])) == first
 
     def test_code_breaks_label_ties(self):
         trie = tie_trie()
-        larger = MatchState(trie.root.children["u"], (self.P,))
-        smaller = MatchState(trie.root.children["v"], (self.P,))
-        assert select_longest([larger, smaller]) is smaller
+        larger, smaller = (trie.root.children["u"], (self.P,)), (trie.root.children["v"], (self.P,))
+        assert select_longest(dict([larger, smaller])) == smaller
 
     def test_first_of_equal_keys_wins(self):
         trie = tie_trie()
-        first = MatchState(trie.root.children["v"], (self.P,))
-        second = MatchState(trie.root.children["w"], (self.P,))
-        assert select_longest([first, second]) is first
-        assert select_longest([second, first]) is second
+        first, second = (trie.root.children["v"], (self.P,)), (trie.root.children["w"], (self.P,))
+        assert select_longest(dict([first, second])) == first
+        assert select_longest(dict([second, first])) == second
 
     def test_tie_between_trails_keeps_the_first(self):
         # (abbreviation, levenshtein) and (levenshtein, abbreviation) reach the
@@ -429,15 +426,6 @@ def test_matches_brute_force_reference_with_fuzzy_techniques(entries, tokens, fu
         ] == reference_annotate(tokens, trie, ABBREV_TABLE, max_dist, fuzzy_min_len)
 
 
-def advance_states_keeping_twins(states, input_token, *, abbrevs, max_dist, fuzzy_min_len):
-    """``advance_states`` without the twin drop: every fork stays in the pool."""
-    return [
-        MatchState(match.target_node, state.techniques + (match.technique,))
-        for state in states
-        for match in match_token(input_token, state.node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len)
-    ]
-
-
 def nodes_at_depth_or_more(trie):
     """``[n_0, n_1, ...]``: n_j counts the trie nodes at depth j or more (root: 0)."""
     depths, level = [], [trie.root]
@@ -449,18 +437,17 @@ def nodes_at_depth_or_more(trie):
 
 def annotate_checking_pools(trie, raw, abbrevs, max_dist):
     """Annotate *raw*, checking every pool ``advance_states`` returns against
-    the stated bound: after the j-th token of a start, at most one state per
+    the stated bound: after the j-th token of a start, at most one entry per
     node of depth j or more. Returns (annotations, largest pool)."""
     bound = nodes_at_depth_or_more(trie)
     advance = advance_states
     largest = 0
 
-    def checked(states, input_token, **kwargs):
+    def checked(pool, input_token, **kwargs):
         nonlocal largest
-        pool = advance(states, input_token, **kwargs)
+        pool = advance(pool, input_token, **kwargs)
         if pool:
-            step = len(pool[0].techniques)
-            assert len({id(state.node) for state in pool}) == len(pool)
+            step = len(next(iter(pool.values())))
             assert len(pool) <= bound[min(step, len(bound) - 1)]
             largest = max(largest, len(pool))
         return pool
@@ -471,22 +458,18 @@ def annotate_checking_pools(trie, raw, abbrevs, max_dist):
     return anns, largest
 
 
-def keeping_twins(trie, raw, abbrevs, max_dist):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("termcoder.annotator.advance_states", advance_states_keeping_twins)
-        return annotate_line(raw, trie, NO_STOPWORDS, abbrevs, max_dist)
-
-
 class TestBoundedPool:
     def test_repeated_ambiguous_short_form(self):
         # "s" reaches depth k and k + 1 from depth k: kept twins double the
         # pool with each token (1,024 states by the tenth), on a 17-node trie.
         trie = build_trie({" ".join(["a"] * depth): f"C{depth}" for depth in range(1, 17)})
         abbrevs = AbbreviationTable.build({"s": ["a", "a a"]}, NO_STOPWORDS)
-        raw = " ".join(["s"] * 16)
-        anns, largest = annotate_checking_pools(trie, raw, abbrevs, 0)
+        tokens = ["s"] * 16
+        anns, largest = annotate_checking_pools(trie, " ".join(tokens), abbrevs, 0)
         assert largest <= 16
-        assert anns == keeping_twins(trie, raw, abbrevs, 0)
+        assert [
+            (a.start_token, a.end_token, a.term_label, a.code, a.techniques) for a in anns
+        ] == annotate_keeping_twins(tokens, trie, abbrevs, 0, 5)
         assert [(a.end_token, a.code) for a in anns] == [(15, "C16")]
 
 
@@ -529,4 +512,45 @@ def test_pool_stays_bounded_on_adversarial_lines(case):
         assert [
             (a.start_token, a.end_token, a.term_label, a.code, sum(a.techniques)) for a in anns
         ] == reference_annotate(tokens, trie, abbrevs, max_dist, 5)
-        assert anns == keeping_twins(trie, raw, abbrevs, max_dist)
+        assert [
+            (a.start_token, a.end_token, a.term_label, a.code, a.techniques) for a in anns
+        ] == annotate_keeping_twins(tokens, trie, abbrevs, max_dist, 5)
+
+
+def test_advance_leaves_its_input_pool_and_keeps_first_reached_order():
+    # annotate_line shares one root pool across every start, so advance_states
+    # must not change the pool it is given. Its result is the fork list with
+    # each node once: at the place of its first trail of smallest sum.
+    trie = DictionaryTrie()
+    paths = [("alpha",) * depth for depth in range(1, 6)]
+    paths += [("alpha", "alpho", "alpha"), ("alphe", "alpha", "alpha", "alpho"), ("alpha", "alphe")]
+    for i, path in enumerate(paths):
+        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
+    trie.freeze()
+    mapping = {"s": ["alpha", "alpha alpha"], "alpha": ["alpha alpha"]}
+    abbrevs = AbbreviationTable.build(mapping, NO_STOPWORDS)
+    tokens = ["alpha", "s", "alpho", "s", "alpha", "s", "alphu", "alpha", "s"]
+    twins = moved = 0
+    for start in range(len(tokens)):
+        pool = {trie.root: ()}
+        for token in tokens[start:]:
+            before = list(pool.items())
+            forks = [
+                (target, trail + (technique,))
+                for node, trail in before
+                for technique, target in match_token(token, node, abbrevs, 1, fuzzy_min_len=5)
+            ]
+            first, kept = {}, {}  # node: index in forks of its first trail, of its first smallest sum
+            for i, (node, trail) in enumerate(forks):
+                first.setdefault(node, i)
+                if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
+                    kept[node] = i
+            got = advance_states(pool, token, abbrevs=abbrevs, max_dist=1, fuzzy_min_len=5)
+            assert list(pool.items()) == before
+            assert list(got.items()) == [forks[i] for i in sorted(kept.values())]
+            twins += len(forks) - len(kept)
+            moved += first != kept
+            pool = got
+            if not pool:
+                break
+    assert twins > 0 and moved > 0
