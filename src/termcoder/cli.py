@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import sys
 from pathlib import Path
@@ -54,19 +53,25 @@ def _one_character(text: str) -> str:
     return text
 
 
+# The option defaults. On a named tuple class, ``CorpusFormat.delimiter`` is
+# the field's accessor, not its default, so they are read from instances.
+_CORPUS_FORMAT = CorpusFormat()
+_TERM_LIST_FORMAT = TermListFormat()
+
+
 def _add_format_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("CSV format")
     group.add_argument(
         "--delimiter",
         type=_one_character,
-        default=CorpusFormat.delimiter,
+        default=_CORPUS_FORMAT.delimiter,
         help="CSV delimiter, one character (default: %(default)r)",
     )
-    group.add_argument("--col-doc", default=CorpusFormat.col_doc, help="document id column")
-    group.add_argument("--col-line", default=CorpusFormat.col_line, help="line id column")
-    group.add_argument("--col-raw", default=CorpusFormat.col_raw, help="raw text column")
-    group.add_argument("--col-standard", default=CorpusFormat.col_standard, help="standard text column")
-    group.add_argument("--col-code", default=CorpusFormat.col_code, help="code column")
+    group.add_argument("--col-doc", default=_CORPUS_FORMAT.col_doc, help="document id column")
+    group.add_argument("--col-line", default=_CORPUS_FORMAT.col_line, help="line id column")
+    group.add_argument("--col-raw", default=_CORPUS_FORMAT.col_raw, help="raw text column")
+    group.add_argument("--col-standard", default=_CORPUS_FORMAT.col_standard, help="standard text column")
+    group.add_argument("--col-code", default=_CORPUS_FORMAT.col_code, help="code column")
 
 
 def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
@@ -89,9 +94,9 @@ def _add_dictionary_options(parser: argparse.ArgumentParser) -> None:
         metavar="CSV",
         help="external label/code term list, merged into the corpus terms (repeatable)",
     )
-    group.add_argument("--col-label", default=TermListFormat.label_column, help="term list label column")
+    group.add_argument("--col-label", default=_TERM_LIST_FORMAT.label_column, help="term list label column")
     group.add_argument(
-        "--col-term-code", default=TermListFormat.code_column, help="term list code column"
+        "--col-term-code", default=_TERM_LIST_FORMAT.code_column, help="term list code column"
     )
     group.add_argument("--stopwords", type=Path, help="stopword file (default: built-in list)")
 
@@ -105,7 +110,10 @@ def _add_matching_options(parser: argparse.ArgumentParser) -> None:
         "--max-dist",
         type=_int_at_least(0),
         default=DEFAULT_MAX_DISTANCE,
-        help="edit distance budget per token, >= 0 (0 disables fuzzy matching)",
+        help=(
+            "edit distance budget per token, >= 0 (0 disables fuzzy matching); there is no"
+            " upper bound, but each step's work grows with it"
+        ),
     )
     group.add_argument(
         "--fuzzy-min-len",
@@ -203,6 +211,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(gold, predicted)
     print(report.summary())
     if args.output:
+        import json  # only this command writes JSON: the others start without it
+
         Path(args.output).write_text(json.dumps(report.to_dict(), indent=2) + "\n", "utf-8")
     return 0
 

@@ -10,9 +10,8 @@ inserted into the trie as it is.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CorpusFormat, TermListFormat, parse_aligned_causes, read_term_list
 from .normalize import NormalizationConfig, label_tokens
@@ -22,7 +21,6 @@ class DictionaryBuildError(ValueError):
     """Dictionary sources are missing, inconsistent or unreadable."""
 
 
-@dataclass
 class CodeFrequencyTable:
     """Per-term code counts, keyed by the normalized token path.
 
@@ -30,9 +28,10 @@ class CodeFrequencyTable:
     the path is first seen; ``labels`` maps it to the first raw label seen.
     """
 
-    counts: dict[tuple[str, ...], dict[str, int]] = field(default_factory=dict)
-    labels: dict[tuple[str, ...], str] = field(default_factory=dict)
-    skipped_rows: int = 0
+    def __init__(self) -> None:
+        self.counts: dict[tuple[str, ...], dict[str, int]] = {}
+        self.labels: dict[tuple[str, ...], str] = {}
+        self.skipped_rows = 0
 
 
 def tally_terms(
@@ -79,8 +78,7 @@ def resolve_code(table: CodeFrequencyTable, key: tuple[str, ...]) -> str:
     return min(codes.items(), key=lambda item: (-item[1], item[0]))[0]
 
 
-@dataclass(frozen=True)
-class DictionarySpec:
+class DictionarySpec(NamedTuple):
     """Sources for one dictionary build; external term lists are merged when given."""
 
     corpus_sources: tuple[Path, ...] = ()
@@ -89,8 +87,7 @@ class DictionarySpec:
     term_list_format: TermListFormat = TermListFormat()
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(NamedTuple):
     term_count: int
     code_count: int
     conflict_count: int

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from operator import itemgetter
 from os import PathLike
 from typing import Iterable, Iterator, NamedTuple
@@ -28,8 +27,7 @@ class CorpusFormatError(ValueError):
     """A source file does not match the configured CSV layout."""
 
 
-@dataclass(frozen=True)
-class CorpusFormat:
+class CorpusFormat(NamedTuple):
     """CSV dialect and column names for corpus files."""
 
     delimiter: str = ";"
@@ -40,8 +38,7 @@ class CorpusFormat:
     col_code: str = "ICD10"
 
 
-@dataclass(frozen=True)
-class TermListFormat:
+class TermListFormat(NamedTuple):
     """Column selection for external label/code term lists.
 
     Columns are named, or 0-based indexes when both values are digits. The
@@ -54,7 +51,7 @@ class TermListFormat:
 
 
 class CorpusRecord(NamedTuple):
-    """One corpus row; a named tuple is cheaper to make than a frozen dataclass."""
+    """One corpus row."""
 
     doc_id: str
     line_id: str
@@ -69,9 +66,11 @@ def _by_position(columns: tuple[str, ...]) -> bool:
 
 
 # The default (label, code) header names of a corpus file and of a term list.
+# On a named tuple class, ``CorpusFormat.col_code`` is the field's accessor,
+# not its default, so the defaults are read from instances.
 _DEFAULT_HEADERS = {
-    (CorpusFormat.col_standard, CorpusFormat.col_code),
-    (TermListFormat.label_column, TermListFormat.code_column),
+    (CorpusFormat().col_standard, CorpusFormat().col_code),
+    (TermListFormat().label_column, TermListFormat().code_column),
 }
 
 
@@ -153,8 +152,7 @@ def read_term_list(path: PathArg, fmt: TermListFormat = TermListFormat()) -> lis
     return pairs
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Micro-averaged counts and metrics over (doc, line, code) tuples."""
 
     tp: int
@@ -165,14 +163,8 @@ class EvalReport:
     f_measure: float
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-        }
+        """The fields by name, in field order: the JSON report's keys."""
+        return self._asdict()
 
     def summary(self) -> str:
         return (
@@ -216,8 +208,7 @@ ANNOTATION_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class AnnotatedLine:
+class AnnotatedLine(NamedTuple):
     """One corpus line plus the annotations found in it."""
 
     doc_id: str
@@ -226,8 +217,7 @@ class AnnotatedLine:
     annotations: tuple[Annotation, ...]
 
 
-@dataclass(frozen=True)
-class AnnotationRow:
+class AnnotationRow(NamedTuple):
     """One row of the annotation output CSV."""
 
     doc_id: str

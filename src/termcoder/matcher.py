@@ -26,9 +26,10 @@ from __future__ import annotations
 import enum
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from operator import itemgetter
 from os import PathLike
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple
 
 from .normalize import NormalizationConfig, _read_word_list, label_tokens, normalize_text
@@ -51,11 +52,14 @@ class MatchTechnique(enum.IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-@dataclass(frozen=True)
-class AbbreviationTable:
-    """Maps a normalized short form to one or more token-sequence expansions."""
+class AbbreviationTable(NamedTuple):
+    """Maps a normalized short form to one or more token-sequence expansions.
 
-    entries: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+    The default table is empty and read-only, so no two tables share a
+    mapping that one of them could write to.
+    """
+
+    entries: Mapping[str, tuple[tuple[str, ...], ...]] = MappingProxyType({})
 
     @classmethod
     def build(

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from os import PathLike
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 @lru_cache(maxsize=8192)
@@ -64,7 +62,7 @@ def _read_word_list(path: str | PathLike[str] | None, resource: str) -> Iterator
     is not UTF-8 raises ``ValueError`` naming ``path:lineno``.
     """
     if path is None:
-        source, file = resource, resources.files("termcoder").joinpath("data").joinpath(resource)
+        source, file = resource, Path(__file__).parent / "data" / resource
     else:
         source, file = path, Path(path)
     try:
@@ -93,15 +91,17 @@ def default_stopwords() -> frozenset[str]:
     return load_stopwords()
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Tokenizer settings shared by dictionary construction and annotation."""
+class NormalizationConfig(NamedTuple):
+    """Tokenizer settings shared by dictionary construction and annotation.
 
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
+    The default stopwords are the built-in list, read once when this module
+    is imported.
+    """
+
+    stopwords: frozenset[str] = default_stopwords()
 
 
-@dataclass(frozen=True)
-class TokenizedText:
+class TokenizedText(NamedTuple):
     """Normalized tokens of a raw string plus their original-character spans."""
 
     tokens: tuple[str, ...]

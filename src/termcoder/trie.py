@@ -7,11 +7,10 @@ produce annotations on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(NamedTuple):
     """A dictionary entry: surface label and code. Its token path is where
     the trie stores it."""
 

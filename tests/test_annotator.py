@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -473,14 +474,34 @@ class TestBoundedPool:
         assert [(a.end_token, a.code) for a in anns] == [(15, "C16")]
 
 
-adversarial_vocab = ["alpha", "alpho", "alphe", "beta"]  # one-edit forks of one token
+# One-edit forks of one token, and "a". A token no longer than max_dist lets
+# a composed-word step from a node reach the node that a one-level step from
+# its child reaches in the same pool step: "a" + "beta" is within 1 of
+# "beta". The composed step forks first and costs more, so the node's first
+# trail is not its cheapest, and advance_states must replace that trail and
+# move the node to the cheaper trail's place.
+adversarial_vocab = ["alpha", "alpho", "alphe", "beta", "a"]
+
+
+def composed_line(path):
+    """*path* as line tokens, with each "a" composed onto the token before
+    it: ``["alphaa", "beta"]`` for ``("alpha", "a", "beta")``."""
+    tokens = []
+    for token in path:
+        if token == "a" and tokens:
+            tokens[-1] += token
+        else:
+            tokens.append(token)
+    return tokens
 
 
 @st.composite
 def adversarial_cases(draw):
-    """Deep terms over a few one-edit-apart tokens, short forms with several
-    multi-token expansions, and lines of repeated, short, composed and
-    one-edit tokens."""
+    """Deep terms over a few one-edit-apart tokens and "a", short forms with
+    several multi-token expansions, and lines of repeated, short, composed
+    and one-edit tokens, or a term's own tokens with each "a" composed.
+    Labels and codes are drawn from two each, so two term nodes can tie on
+    both and pool order decides between them."""
     word = st.sampled_from(adversarial_vocab)
     paths = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(tuple), min_size=1, max_size=10))
     paths += [("alpha",) * depth for depth in range(1, draw(st.integers(1, 6)) + 1)]
@@ -493,12 +514,13 @@ def adversarial_cases(draw):
     if draw(st.booleans()):
         mapping["alpha"] = ["alpha alpha"]
     trie = DictionaryTrie()
-    for i, path in enumerate(dict.fromkeys(paths)):
-        trie.insert_term(path, Term(" ".join(path), f"C{i}"))
+    for path in dict.fromkeys(paths):
+        trie.insert_term(path, Term(draw(st.sampled_from("xy")), draw(st.sampled_from(["C1", "C2"]))))
     trie.freeze()
     line_token = st.sampled_from(adversarial_vocab + ["s", "t", "alphu", "alphaalpha", "alphalpho"])
     repeated = st.tuples(line_token, st.integers(1, 7)).map(lambda pair: [pair[0]] * pair[1])
-    tokens = draw(st.one_of(st.lists(line_token, max_size=7), repeated))
+    composed = st.sampled_from(paths).map(composed_line)
+    tokens = draw(st.one_of(st.lists(line_token, max_size=7), repeated, composed))
     return trie, AbbreviationTable.build(mapping, NO_STOPWORDS), tokens
 
 
@@ -554,3 +576,32 @@ def test_advance_leaves_its_input_pool_and_keeps_first_reached_order():
             if not pool:
                 break
     assert twins > 0 and moved > 0
+
+
+@given(case=adversarial_cases())
+@settings(max_examples=100, deadline=None)
+def test_adversarial_pools_keep_each_node_at_its_first_cheapest_fork(case):
+    # Every pool of every start, on the drawn line and on each term's own
+    # composed line, is the fork list with each node once: at the place of
+    # its first trail of smallest sum. A pool that keeps a node's first,
+    # dearer trail, or keeps the cheaper one at the first one's place,
+    # differs from it, even where the annotations agree.
+    trie, abbrevs, tokens = case
+    lines = [tokens] + [composed_line(path) for path, _ in iter_terms(trie)]
+    for max_dist, line in itertools.product((0, 1, 2), lines):
+        for start in range(len(line)):
+            pool = {trie.root: ()}
+            for token in line[start:]:
+                forks = [
+                    (target, trail + (technique,))
+                    for node, trail in pool.items()
+                    for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=5)
+                ]
+                kept = {}  # node: index in forks of its first trail of smallest sum
+                for i, (node, trail) in enumerate(forks):
+                    if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
+                        kept[node] = i
+                pool = advance_states(pool, token, abbrevs=abbrevs, max_dist=max_dist, fuzzy_min_len=5)
+                assert list(pool.items()) == [forks[i] for i in sorted(kept.values())]
+                if not pool:
+                    break

@@ -1,7 +1,11 @@
 import gc
 import json
 import logging
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -457,3 +461,17 @@ def test_build_annotate_eval_identity_recall(tmp_path, capsys):
     report = evaluate(gold, predicted)
     assert report.recall == 1.0
     assert report.precision == 1.0
+
+
+def test_start_up_imports_no_dataclasses_inspect_json_or_resources():
+    # Every command is a fresh process, so what importing the CLI loads is
+    # paid on each run: dataclasses (with inspect, ast and dis), json and
+    # importlib.resources are not needed to start. -S keeps site-packages'
+    # start-up files, which may load any of them, out of the comparison.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; before = set(sys.modules); import termcoder.cli; print(*set(sys.modules) - before)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    new = set(done.stdout.split())
+    assert "termcoder.cli" in new
+    assert not new & {"dataclasses", "inspect", "json", "importlib.resources"}
