@@ -21,13 +21,17 @@ from typing import Iterator, NamedTuple
 
 @lru_cache(maxsize=8192)
 def _char_fragment(ch: str) -> str:
-    """Normalized replacement for one input character (possibly empty)."""
-    out = []
-    for c in unicodedata.normalize("NFD", ch.lower()):
-        if unicodedata.category(c) == "Mn":
-            continue
-        out.append(c if c.isspace() or c.isalnum() else " ")
-    return "".join(out)
+    """Normalized replacement for one input character (possibly empty).
+
+    A fragment of several characters that is not all alphanumeric is one
+    space: it ends a token, as a single punctuation character does.
+    """
+    frag = "".join(
+        c if c.isspace() or c.isalnum() else " "
+        for c in unicodedata.normalize("NFD", ch.lower())
+        if unicodedata.category(c) != "Mn"
+    )
+    return frag if len(frag) < 2 or frag.isalnum() else " "
 
 
 def normalize_text(raw: str) -> str:
@@ -108,8 +112,10 @@ class TokenizedText(NamedTuple):
     offsets: tuple[tuple[int, int], ...]
 
 
-# ``_FRAGMENTS`` maps a character to this when its fragment is not exactly one
-# character; no character's fragment is NUL itself (NUL becomes a space).
+# ``_FRAGMENTS`` maps a character to this when its fragment keeps a token
+# going but is not one letter: a bare combining mark (empty) or a character
+# that decomposes into several letters (a Hangul syllable). No character's
+# fragment is NUL itself (NUL becomes a space).
 _SENTINEL = "\0"
 _TABLE_SIZE = 8192
 _RUN = re.compile(r"\S+")
@@ -139,23 +145,39 @@ _FRAGMENTS = _FragmentTable()
 def tokenize(raw: str, cfg: NormalizationConfig | None = None) -> TokenizedText:
     """Split *raw* into normalized, stopword-free tokens with raw-text offsets.
 
-    When every character's fragment is one character, the translated text
-    lines up with *raw* and its non-space runs are the tokens and their
-    spans. Otherwise (a bare combining mark, a character that decomposes
-    into several) the per-character loop decides.
+    The tokens are the non-space runs of the translated text, and their
+    spans are the raw offsets. A run that holds ``_SENTINEL`` is spelled
+    from the raw text instead.
     """
     stopwords = default_stopwords() if cfg is None else cfg.stopwords
     text = raw.translate(_FRAGMENTS)
-    if _SENTINEL in text:
-        return _tokenize_loop(raw, stopwords)
+    spell = _SENTINEL in text
     tokens: list[str] = []
     offsets: list[tuple[int, int]] = []
     for run in _RUN.finditer(text):
         token = run.group()
-        if token not in stopwords:
-            tokens.append(token)
-            offsets.append(run.span())
+        if token in stopwords:  # no stopword holds NUL, so a spelled run passes
+            continue
+        span = run.span()
+        if spell and _SENTINEL in token:
+            token, span = _spell(raw, *span)
+            if not token or token in stopwords:
+                continue
+        tokens.append(token)
+        offsets.append(span)
     return TokenizedText(tuple(tokens), tuple(offsets))
+
+
+def _spell(raw: str, start: int, end: int) -> tuple[str, tuple[int, int]]:
+    """The token and span of the run ``raw[start:end]``, one character at a time.
+
+    Leading bare marks belong to the character before the run, so the span
+    starts after them; trailing ones stay inside it, as UAX #29 never breaks
+    a grapheme cluster before a mark. A run of marks alone spells ``""``.
+    """
+    while start < end and not _char_fragment(raw[start]):
+        start += 1
+    return "".join(map(_char_fragment, raw[start:end])), (start, end)
 
 
 def label_tokens(raw: str, cfg: NormalizationConfig | None = None) -> tuple[str, ...]:
@@ -163,40 +185,11 @@ def label_tokens(raw: str, cfg: NormalizationConfig | None = None) -> tuple[str,
 
     The dictionary build and the abbreviation table key terms by tokens
     alone, so the translated text is split on whitespace (the same runs
-    ``tokenize`` finds) and no span is made.
+    ``tokenize`` finds) and no span is made. A line that holds
+    ``_SENTINEL`` goes through ``tokenize``, which spells those runs.
     """
-    stopwords = default_stopwords() if cfg is None else cfg.stopwords
     text = raw.translate(_FRAGMENTS)
     if _SENTINEL in text:
-        return _tokenize_loop(raw, stopwords).tokens
+        return tokenize(raw, cfg).tokens
+    stopwords = default_stopwords() if cfg is None else cfg.stopwords
     return tuple([token for token in text.split() if token not in stopwords])
-
-
-def _tokenize_loop(raw: str, stopwords: frozenset[str]) -> TokenizedText:
-    """``tokenize`` one character at a time, for any fragment length."""
-    tokens: list[str] = []
-    offsets: list[tuple[int, int]] = []
-    parts: list[str] = []
-    start = end = 0
-
-    def flush() -> None:
-        if parts:
-            token = "".join(parts)
-            if token not in stopwords:
-                tokens.append(token)
-                offsets.append((start, end))
-            parts.clear()
-
-    for i, ch in enumerate(raw):
-        frag = _char_fragment(ch)
-        if not frag:
-            continue  # a bare combining mark never breaks a token
-        if frag.isalnum():  # fragments hold only alphanumerics and whitespace
-            if not parts:
-                start = i
-            parts.append(frag)
-            end = i + 1
-        else:
-            flush()
-    flush()
-    return TokenizedText(tuple(tokens), tuple(offsets))

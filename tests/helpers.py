@@ -85,16 +85,18 @@ def reference_tokenize(raw, stopwords=frozenset()):
 
     Each character is lowercased and decomposed, its combining marks drop,
     and what is left must be alphanumeric to extend a token: a character
-    that leaves nothing (a bare combining mark) is passed over, and any
-    other character ends the token. Offsets are [start, end) character
-    indexes into *raw*. This is the tokenizer's per-character loop, written
-    without the library's caches or translate table.
+    that leaves nothing (a bare combining mark) starts no token but stays
+    in the span of the one it follows, and any other character ends the
+    token. Offsets are [start, end) character indexes into *raw*. Every
+    line is read one character at a time, with ``unicodedata`` directly and
+    none of the library's caches, translate table or run split.
     """
     tokens, offsets, parts = [], [], []
     start = end = 0
     for i, ch in enumerate(raw + " "):  # the trailing space ends the last token
         frag = _reference_fragment(ch)
         if not frag:
+            end = i + 1  # a bare mark after a letter stays in its span; none starts one
             continue
         if frag.isalnum():
             if not parts:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,28 @@ class TestGoldenSequences:
 
     def test_empty_text(self):
         assert annotate_line("", heart_trie()) == []
+
+    @pytest.mark.parametrize(
+        "line, trie",
+        [
+            ("INS CARDIAQU AIGUË DÉTRESSE RESPIRATOIRE", heart_trie()),
+            ("Insuffisance cardiaque aiguë; insuffisance respiratoire aiguë", heart_trie()),
+            ("MÉNINGOENCÉPHALITE VIRALE", composed_trie()),
+            ("méningo-encéphalite virale, méningoencéphalité", composed_trie()),
+        ],
+    )
+    def test_decomposed_line_annotates_as_composed(self, line, trie):
+        nfc = unicodedata.normalize("NFC", line)
+        nfd = unicodedata.normalize("NFD", line)
+        assert nfc != nfd
+        composed = annotate_line(nfc, trie, abbrevs=INS_TABLE)
+        decomposed = annotate_line(nfd, trie, abbrevs=INS_TABLE)
+        assert composed
+        assert [(a.term_label, a.code, a.techniques, a.matched_tokens) for a in decomposed] == [
+            (a.term_label, a.code, a.techniques, a.matched_tokens) for a in composed
+        ]
+        for c, d in zip(composed, decomposed):  # a span keeps its trailing marks
+            assert unicodedata.normalize("NFC", nfd[d.start_char : d.end_char]) == nfc[c.start_char : c.end_char]
 
     def test_composed_word_takes_longest_path(self):
         anns = annotate_line("MENINGOENCEPHALITE VIRALE", composed_trie())

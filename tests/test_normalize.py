@@ -122,27 +122,61 @@ class TestTokenize:
 
 
 class TestTokenizePaths:
-    """``tokenize`` takes the translate-table path or the per-character loop;
-    both must give what the reference loop gives."""
+    """``tokenize`` splits the translated text into runs and spells from the
+    raw text only a run that holds a bare mark or a many-letter character;
+    the tokens and spans must be what the reference loop gives."""
 
     def test_every_code_point_embedded_equals_reference(self, monkeypatch):
         cfg = NormalizationConfig(stopwords=frozenset())
-        loop_calls = []
-        loop = normalize._tokenize_loop
+        spelled = []
+        spell = normalize._spell
         monkeypatch.setattr(
-            normalize, "_tokenize_loop", lambda raw, sw: loop_calls.append(raw[2]) or loop(raw, sw)
+            normalize, "_spell", lambda raw, start, end: spelled.append(raw[2]) or spell(raw, start, end)
         )
         wrong = []
+        unsplit = []
         for code in range(sys.maxunicode + 1):
             raw = "ab" + chr(code) + "cd"
             got = tokenize(raw, cfg)
             if (got.tokens, got.offsets) != reference_tokenize(raw):
                 wrong.append(hex(code))
+            if normalize_text(raw).split() != list(got.tokens):  # what stopwords and short forms match
+                unsplit.append(hex(code))
         assert wrong == []
-        # Both paths ran: a bare mark and a Hangul syllable (two jamo) need the loop.
-        fallback = set(loop_calls)
-        assert {"\u0301", "\uac00"} <= fallback
-        assert not {"a", "\u00e9", "\u0130", "\u00a0", "\x00"} & fallback
+        assert unsplit == []
+        # Only a bare mark and a Hangul syllable (two jamo) make a run that is spelled.
+        assert {"\u0301", "\uac00"} <= set(spelled)
+        assert not {"a", "\u00e9", "\u0130", "\u00a0", "\x00"} & set(spelled)
+
+    def test_only_runs_holding_a_bare_mark_are_spelled(self, monkeypatch):
+        spelled = []
+        spell = normalize._spell
+        monkeypatch.setattr(
+            normalize, "_spell", lambda raw, start, end: spelled.append(raw[start:end]) or spell(raw, start, end)
+        )
+        raw = unicodedata.normalize("NFD", "fièvre aigue")
+        assert tokenize(raw).tokens == ("fievre", "aigue")
+        assert spelled == [raw[:7]]
+        # A spelled run is checked against the stopwords again: "dé" spells "de".
+        spelled.clear()
+        raw = unicodedata.normalize("NFD", "fièvre dé aigue")
+        assert tokenize(raw).tokens == ("fievre", "aigue")
+        assert spelled == [raw[:7], raw[8:11]]
+
+    def test_trailing_marks_stay_in_the_span(self):
+        raw = unicodedata.normalize("NFD", "fièvre aiguë fébrilité")
+        got = tokenize(raw)
+        assert got.tokens == ("fievre", "aigue", "febrilite")
+        spans = [unicodedata.normalize("NFC", raw[start:end]) for start, end in got.offsets]
+        assert spans == ["fièvre", "aiguë", "fébrilité"]
+
+    @pytest.mark.parametrize(
+        "raw, offsets", [("a \u0301b", ((0, 1), (3, 4))), ("a -\u0301b\u0301", ((0, 1), (4, 6)))]
+    )
+    def test_a_mark_after_a_space_stays_out_of_the_span(self, raw, offsets):
+        got = tokenize(raw, NormalizationConfig(stopwords=frozenset()))
+        assert got.tokens == ("a", "b")
+        assert got.offsets == offsets
 
     @pytest.mark.parametrize("raw", ["\u0301", "\u0301\u0301", "\uac00\uac00", "\ufb01x", "\u0130\u00df"])
     def test_alone_and_doubled(self, raw):
@@ -179,7 +213,8 @@ class TestTokenizePaths:
 
 class TestLabelTokens:
     """``label_tokens`` gives ``tokenize(...).tokens`` without the offsets, by a
-    whitespace split or, on a fragment that is not one character, the loop."""
+    whitespace split or, on a line that holds a bare mark or a many-letter
+    character, by ``tokenize`` itself."""
 
     CONFIGS = (NormalizationConfig(), NormalizationConfig(stopwords=frozenset()))
 
@@ -202,7 +237,7 @@ class TestLabelTokens:
     )
     @settings(max_examples=300)
     def test_mixed_text_equals_tokenize_and_reference(self, raw):
-        for form in ("NFC", "NFD"):  # decomposed: marks stand alone and take the loop
+        for form in ("NFC", "NFD"):  # decomposed: marks stand alone and are spelled
             self.check(unicodedata.normalize(form, raw))
 
     @pytest.mark.parametrize("raw", ["\u0301", "\u0301\u0301", "\uac00\uac00", "\ufb01x", "\u0130\u00df"])
