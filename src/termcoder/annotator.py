@@ -51,8 +51,10 @@ def advance_states(
     """The pool after *input_token*: each node reached, mapped to its trail.
 
     Each entry of *pool* forks once per candidate ``match_token`` lists, in
-    its order; an entry with no match dies. Nodes keep the order in which
-    they were first reached, and *pool* itself is left unchanged.
+    its order; an entry with no match dies. An entry on a leaf dies without
+    a ``match_token`` call: every technique steps to a child, at any
+    *max_dist*. Nodes keep the order in which they were first reached, and
+    *pool* itself is left unchanged.
 
     Two trails may reach one node: from two entries, or from one entry whose
     abbreviation target is also a fuzzy target. Of these twins, only the
@@ -70,6 +72,8 @@ def advance_states(
     """
     successors: dict[TrieNode, tuple[MatchTechnique, ...]] = {}
     for node, trail in pool.items():
+        if not node.children:  # a leaf: no technique can step below it
+            continue
         for technique, target in match_token(
             input_token, node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
         ):
@@ -117,7 +121,9 @@ def annotate_line(
     committed. The scan then resumes after that term, or at the next
     token when there is none, so tokens inside a committed span never
     start a search, and no backtracking trades a committed match for a
-    longer one further right.
+    longer one further right. At *max_dist* 0 a start token that is
+    neither a root child nor a short form in *abbrevs* starts no pool:
+    ``match_token`` from the root would list nothing for it.
     Pure over shared inputs, so lines can be annotated concurrently against
     one frozen trie. Raises ValueError if *max_dist* < 0 or *fuzzy_min_len* < 1.
 
@@ -142,8 +148,13 @@ def annotate_line(
 
     annotations: list[Annotation] = []
     root = {trie.root: ()}  # advance_states never mutates a pool: every start shares it
+    exact = max_dist == 0  # see the docstring: some starts need no pool
+    children, short_forms = trie.root.children, abbrevs.entries
     start = 0
     while start < len(tokens):
+        if exact and tokens[start] not in children and tokens[start] not in short_forms:
+            start += 1
+            continue
         pool = root
         best, end = None, start
         for index in range(start, len(tokens)):
@@ -165,15 +176,15 @@ def annotate_line(
         node, trail = best
         term = node.terminal
         annotations.append(
-            Annotation(
-                start_char=offsets[start][0],
-                end_char=offsets[end][1],
-                start_token=start,
-                end_token=end,
-                matched_tokens=tokens[start : end + 1],
-                term_label=term.label,
-                code=term.code,
-                techniques=trail,
+            Annotation(  # by position: keywords would double the cost of the call
+                offsets[start][0],
+                offsets[end][1],
+                start,
+                end,
+                tokens[start : end + 1],
+                term.label,
+                term.code,
+                trail,
             )
         )
         start = end + 1

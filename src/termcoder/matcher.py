@@ -27,10 +27,11 @@ import enum
 import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
+from functools import partial
 from operator import itemgetter
 from os import PathLike
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .normalize import NormalizationConfig, _read_word_list, label_tokens, normalize_text
 from .trie import TrieNode
@@ -272,78 +273,83 @@ def _walk(
     state: int,
     depth: int,
     lengths: range,
-) -> Iterator[tuple[str, int]]:
-    """Yield ``(token, state)``, in order, for each sorted token with a
-    length in *lengths* whose state, continued from *state* at *depth*,
-    is alive.
+) -> list[tuple[str, int]]:
+    """``(token, state)``, in order, for each sorted token with a length in
+    *lengths* whose state, continued from *state* at *depth*, is alive.
 
     A run of tokens with a common prefix steps through the prefix once, and
-    a dead prefix drops the run. Once no band cell is below max_dist, a
-    character keeps the state alive only if it is the word character on the
-    diagonal of a cell at max_dist, so bisect jumps to those characters'
-    runs, in a run of any size. Otherwise a run of at most ``_LEAF_SIZE``
-    tokens is scanned flat, one character step per token character, and a
-    larger one is split on its next character.
+    a dead prefix drops the run. A run of at most ``_LEAF_SIZE`` tokens whose
+    state has a cell below max_dist is scanned flat, one character step per
+    token character; this is checked first, since most runs are small. Once
+    no band cell is below max_dist, a character keeps the state alive only
+    if it is the word character on the diagonal of a cell at max_dist, so
+    bisect jumps to those characters' runs, in a run of any size. Any other
+    run is split on its next character. The jump characters of a (state,
+    depth) are worked out once per walk, in a table made at the first jump.
     """
     k = auto.max_dist
-    n = len(word)
-    full, delta, least, at_k, advance = auto.full, auto.delta, auto.least, auto.at_k, auto.advance
+    full, delta, least, advance = auto.full, auto.delta, auto.least, auto.advance
+    found: list[tuple[str, int]] = []
     stack = [(0, len(tokens), 0, state)]
-    allowed: dict[tuple[int, int], list[str]] = {}  # (state, depth) -> sorted jump characters
+    push = stack.append
+    allowed: dict[tuple[int, int], list[str]] | None = None  # (state, depth) -> sorted jump characters
     while stack:
         lo, hi, p, state = stack.pop()  # tokens[lo:hi] share a p-character prefix, which leads to *state*
         i = depth + p
         shift = 2 * i
-        if least[state] == k:  # jump to the word characters on the diagonals of the cells at k
+        if least[state] < k:
+            if hi - lo <= _LEAF_SIZE:
+                for token in tokens[lo:hi]:
+                    if len(token) in lengths:
+                        s, sh = state, shift
+                        for ch in token[p:]:  # advance() inlined: a table hit costs no call
+                            bits = masks.get(ch, other) >> sh & full
+                            try:
+                                s = delta[s][bits]
+                            except KeyError:
+                                s = advance(s, bits)
+                            if not s:
+                                break
+                            sh += 2
+                        else:
+                            found.append((token, s))
+                continue
+            chars = None
+        else:  # jump to the word characters on the diagonals of the cells at k
+            if allowed is None:
+                allowed = {}
             chars = allowed.get((state, i))
             if chars is None:
-                chars = sorted({word[q] for t in at_k[state] if 0 <= (q := i - k + t) < n})
+                n = len(word)
+                chars = sorted({word[q] for t in auto.at_k[state] if 0 <= (q := i - k + t) < n})
                 allowed[state, i] = chars
-        elif hi - lo <= _LEAF_SIZE:
-            for token in tokens[lo:hi]:
-                if len(token) in lengths:
-                    s, sh = state, shift
-                    for ch in token[p:]:  # advance() inlined: a table hit costs no call
-                        bits = masks.get(ch, other) >> sh & full
-                        try:
-                            s = delta[s][bits]
-                        except KeyError:
-                            s = advance(s, bits)
-                        if not s:
-                            break
-                        sh += 2
-                    else:
-                        yield token, s
-            continue
-        else:
-            chars = None
         if len(tokens[lo]) == p:  # the prefix itself sorts before its extensions
             if p in lengths:
-                yield tokens[lo], state
+                found.append((tokens[lo], state))
             lo += 1
         try:
             key = _KEYS[p]
         except IndexError:
             key = itemgetter(p)
-        runs = []
+        # Runs are pushed last first, so that they pop in token order.
         if chars is None:  # split on every next character
             while lo < hi:
-                ch = tokens[lo][p]
-                end = bisect_right(tokens, ch, lo, hi, key=key)
+                ch = tokens[hi - 1][p]
+                begin = bisect_left(tokens, ch, lo, hi, key=key)
                 s = advance(state, masks.get(ch, other) >> shift & full)
                 if s:
-                    runs.append((lo, end, p + 1, s))
-                lo = end
+                    push((begin, hi, p + 1, s))
+                hi = begin
         else:
-            for ch in chars:
-                lo = bisect_left(tokens, ch, lo, hi, key=key)
+            for ch in reversed(chars):
                 end = bisect_right(tokens, ch, lo, hi, key=key)
-                if lo < end:
+                begin = bisect_left(tokens, ch, lo, end, key=key)
+                if begin < end:
                     s = advance(state, masks.get(ch, other) >> shift & full)
                     if s:
-                        runs.append((lo, end, p + 1, s))
-                lo = end
-        stack.extend(reversed(runs))
+                        push((begin, end, p + 1, s))
+                hi = begin
+    return found
 
 
 class TokenMatch(NamedTuple):
@@ -351,6 +357,12 @@ class TokenMatch(NamedTuple):
 
     technique: MatchTechnique
     target_node: TrieNode
+
+
+# TokenMatch((technique, node)) without the Python-level __new__ a named
+# tuple's constructor runs: this is made once per candidate of every step.
+_token_match = partial(tuple.__new__, TokenMatch)
+_PERFECT, _ABBREVIATION, _LEVENSHTEIN, _BIGRAM_LEVENSHTEIN = MatchTechnique
 
 
 def match_token(
@@ -392,7 +404,7 @@ def match_token(
     matches in (child, grandchild) order.
     """
     child = node.children.get(input_token)
-    matches = [] if child is None else [TokenMatch(MatchTechnique.PERFECT, child)]
+    matches = [] if child is None else [_token_match((_PERFECT, child))]
 
     for expansion in abbrevs.entries.get(input_token, ()):
         target: TrieNode | None = node
@@ -401,7 +413,7 @@ def match_token(
             if target is None:
                 break
         else:
-            matches.append(TokenMatch(MatchTechnique.ABBREVIATION, target))
+            matches.append(_token_match((_ABBREVIATION, target)))
 
     if max_dist > 0:
         auto = _automaton(max_dist)
@@ -416,18 +428,16 @@ def match_token(
             mid = node.children[first]
             d = len(first)
             if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
-                matches.append(TokenMatch(MatchTechnique.LEVENSHTEIN, mid))
+                matches.append(_token_match((_LEVENSHTEIN, mid)))
             grand = mid.sorted_tokens
+            room = reach - d
             # Outside this window of lengths, cell n is out of the band: a child
             # whose grandchildren are all too long starts no walk.
-            if grand and min(map(len, grand)) <= reach - d:
-                window = range(n - max_dist - d, reach - d + 1)
-                seconds = _walk(auto, input_token, masks, other, grand, state, d, window)
-                composed.extend(
-                    TokenMatch(MatchTechnique.BIGRAM_LEVENSHTEIN, mid.children[second])
-                    for second, last in seconds
-                    if accept[last] >> reach - d - len(second) & 1
-                )
+            if grand and min(map(len, grand)) <= room:
+                window = range(n - max_dist - d, room + 1)
+                for second, last in _walk(auto, input_token, masks, other, grand, state, d, window):
+                    if accept[last] >> room - len(second) & 1:
+                        composed.append(_token_match((_BIGRAM_LEVENSHTEIN, mid.children[second])))
         matches += composed
 
     return matches

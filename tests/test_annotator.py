@@ -204,14 +204,21 @@ class TestRootSearches:
         "raw, trie, max_dist, expected",
         [
             ("insuffisance cardiaque aigue", heart_trie(), 0, 1),
-            ("x y q z w", build_trie({"x y": "C1", "z w": "C2"}), 0, 3),
+            ("x y q z w", build_trie({"x y": "C1", "z w": "C2"}), 0, 2),
             ("INS CARDIAQU AIGUE DETRESSE RESPIRATOIRE", heart_trie(), 1, 3),
+            # "ins" is a short form, not a root child: the first one searches
+            # and commits nothing, the second starts "insuffisance cardiaque".
+            ("ins q ins cardiaque", heart_trie(), 0, 2),
+            # A short form whose one expansion is not in the trie still searches.
+            ("ins x y ins", build_trie({"x y": "C1"}), 0, 3),
         ],
     )
     def test_one_root_search_per_uncovered_token_or_annotation(
         self, monkeypatch, raw, trie, max_dist, expected
     ):
         # Tokens inside a committed span never start a search from the root.
+        # At max_dist 0, neither does a token that is neither a root child
+        # nor a short form: no technique can match it there.
         root_calls = 0
 
         def counting(input_token, node, *args, **kwargs):
@@ -221,9 +228,11 @@ class TestRootSearches:
 
         monkeypatch.setattr("termcoder.annotator.match_token", counting)
         anns = annotate_line(raw, trie, NO_STOPWORDS, INS_TABLE, max_dist)
-        covered = sum(a.end_token - a.start_token + 1 for a in anns)
-        uncovered = len(tokenize(raw, NO_STOPWORDS).tokens) - covered
-        assert root_calls == uncovered + len(anns) == expected
+        covered = {i for a in anns for i in range(a.start_token, a.end_token + 1)}
+        uncovered = [t for i, t in enumerate(tokenize(raw, NO_STOPWORDS).tokens) if i not in covered]
+        if max_dist == 0:
+            uncovered = [t for t in uncovered if t in trie.root.children or t in INS_TABLE.entries]
+        assert root_calls == len(uncovered) + len(anns) == expected
 
 
 class TestAdvanceStates:
@@ -292,6 +301,45 @@ class TestAdvanceStates:
         assert len(masks) >= len(pool)
         assert all(m is masks[0] for m in masks)
         assert masks[0] == matcher._Automaton(1).read("cdx")[0]
+
+    @pytest.mark.parametrize("max_dist", [0, 1, 2])
+    def test_leaves_cost_no_match(self, monkeypatch, max_dist):
+        # A leaf has no child for any technique to reach: advance_states
+        # drops it without calling match_token, and the successors are those
+        # of a loop that matches every entry, each node at its first cheapest fork.
+        trie = build_trie({"ab": "C1", "ab cd": "C2", "ab ce x": "C3", "x": "C4"})
+        abbrevs = AbbreviationTable.build({"t": ["cd", "ce x"]}, NO_STOPWORDS)
+        ab = trie.root.children["ab"]
+        leaf, terminal_interior, interior = trie.root.children["x"], ab, ab.children["ce"]
+        assert not leaf.children and leaf.terminal is not None
+        assert terminal_interior.children and terminal_interior.terminal is not None
+        assert interior.children and interior.terminal is None
+        P = MatchTechnique.PERFECT
+        pool = {leaf: (P,), terminal_interior: (P,), interior: (P, P)}
+        matched = []
+
+        def counting(input_token, node, *args, **kwargs):
+            matched.append(node)
+            return match_token(input_token, node, *args, **kwargs)
+
+        monkeypatch.setattr("termcoder.annotator.match_token", counting)
+        reached = 0
+        for token in ("cd", "ce", "x", "t", "cex", "c", "xx"):
+            forks = [
+                (target, trail + (technique,))
+                for node, trail in pool.items()
+                for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=1)
+            ]
+            kept = {}  # node: index in forks of its first trail of smallest sum
+            for i, (node, trail) in enumerate(forks):
+                if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
+                    kept[node] = i
+            matched.clear()
+            got = advance_states(pool, token, abbrevs=abbrevs, max_dist=max_dist, fuzzy_min_len=1)
+            assert matched == [terminal_interior, interior]
+            assert list(got.items()) == [forks[i] for i in sorted(kept.values())]
+            reached += len(got)
+        assert reached > 0
 
 
 def tie_trie():
@@ -448,6 +496,45 @@ def test_matches_brute_force_reference_with_fuzzy_techniques(entries, tokens, fu
         assert [
             (a.start_token, a.end_token, a.term_label, a.code, sum(a.techniques)) for a in got
         ] == reference_annotate(tokens, trie, ABBREV_TABLE, max_dist, fuzzy_min_len)
+
+
+@st.composite
+def exact_start_cases(draw):
+    """A trie whose terms start with "alpha", "bravo" or "carta" and may go
+    on with "delta" too, short forms whose expansions start with a root
+    child or with "delta", which is none, and lines of root children, short
+    forms, "delta" and an unknown token."""
+    vocab = ["alpha", "bravo", "carta", "delta"]
+    first = st.sampled_from(vocab[:3])
+    path = st.tuples(first, st.lists(st.sampled_from(vocab), max_size=3)).map(lambda p: (p[0], *p[1]))
+    paths = draw(st.lists(path, min_size=1, max_size=10))
+    expansion = st.lists(st.sampled_from(vocab), min_size=1, max_size=3).map(" ".join)
+    mapping = {
+        "sa": draw(st.lists(expansion, min_size=1, max_size=3)),
+        "sd": ["delta " + e for e in draw(st.lists(expansion, min_size=1, max_size=2))],
+    }
+    if draw(st.booleans()):
+        mapping["alpha"] = ["alpha alpha"]
+    trie = DictionaryTrie()
+    for path in dict.fromkeys(paths):
+        trie.insert_term(path, Term(" ".join(path), draw(st.sampled_from(["C1", "C2"]))))
+    trie.freeze()
+    tokens = draw(st.lists(st.sampled_from(vocab + ["sa", "sd", "zulu"]), max_size=8))
+    return trie, AbbreviationTable.build(mapping, NO_STOPWORDS), tokens
+
+
+@given(case=exact_start_cases())
+@settings(max_examples=150, deadline=None)
+def test_exact_start_rule_equals_brute_force_reference(case):
+    # At max_dist 0 a start token that is neither a root child nor a short
+    # form starts no pool; every other start does, whether its expansions
+    # can match from the root or not. The annotations, trails included, are
+    # those of the references, which search from every start.
+    trie, abbrevs, tokens = case
+    anns = annotate_line(" ".join(tokens), trie, NO_STOPWORDS, abbrevs, 0)
+    got = [(a.start_token, a.end_token, a.term_label, a.code, a.techniques) for a in anns]
+    assert [(*hit[:4], sum(hit[4])) for hit in got] == reference_annotate(tokens, trie, abbrevs, 0, 5)
+    assert got == annotate_keeping_twins(tokens, trie, abbrevs, 0, 5)
 
 
 def nodes_at_depth_or_more(trie):

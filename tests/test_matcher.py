@@ -563,6 +563,39 @@ def test_state_at_max_dist_jumps_inside_a_leaf_run(monkeypatch):
     assert steps <= 1 + sum(len(t) for t in tokens if t[0] == "b") < len(tokens)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flat_run_is_scanned_without_bisecting(monkeypatch, k):
+    # A run of at most _LEAF_SIZE tokens whose state has a cell below
+    # max_dist is stepped one token at a time: no split, no jump.
+    rnd = random.Random(k)
+    word = "abcab"
+    tokens = tuple(sorted({"".join(rnd.choice("abcx") for _ in range(rnd.randint(1, 7))) for _ in range(80)}))
+    tokens = tokens[:_LEAF_SIZE]
+    auto = matcher._automaton(k)
+    masks, other, start = auto.read(word)
+    ((_, inner),) = matcher._walk(auto, word, masks, other, ("a",), start, 0, range(2))
+    assert auto.least[inner] < k
+
+    def stepped(token, state, depth):
+        for i, ch in enumerate(token, depth):
+            state = auto.advance(state, masks.get(ch, other) >> 2 * i & auto.full)
+            if not state:
+                break
+        return state
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a flat run bisected")
+
+    monkeypatch.setattr(matcher, "bisect_left", forbidden)
+    monkeypatch.setattr(matcher, "bisect_right", forbidden)
+    for state, depth in ((start, 0), (inner, 1)):
+        for lengths in (range(8), range(2, 5)):
+            got = matcher._walk(auto, word, masks, other, tokens, state, depth, lengths)
+            assert type(got) is list
+            expected = [(t, s) for t in tokens if len(t) in lengths and (s := stepped(t, state, depth))]
+            assert got == expected and expected
+
+
 def capped_band(word, text, k):
     """The reference edit-distance row of *word* against *text*, as the
     2k+1 cells around the diagonal, capped at k+1, k+1 outside the word."""
