@@ -8,7 +8,8 @@ can match. The last step that reached a term node consumed the most
 tokens, so that step's best term is committed, and the scan goes on after
 the committed span; if no step reached a term node, it goes on at the
 next token. The result is a deterministic, non-overlapping,
-leftmost-longest annotation list.
+leftmost-longest annotation list. The pool step, ``advance_states``, lives
+in ``matcher`` beside the techniques it applies.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .matcher import (
     EMPTY_ABBREVIATIONS,
     AbbreviationTable,
     MatchTechnique,
-    match_token,
+    advance_states,
 )
 from .normalize import NormalizationConfig, tokenize
 from .trie import DictionaryTrie, TrieNode
@@ -38,51 +39,6 @@ class Annotation(NamedTuple):
     term_label: str
     code: str
     techniques: tuple[MatchTechnique, ...]
-
-
-def advance_states(
-    pool: dict[TrieNode, tuple[MatchTechnique, ...]],
-    input_token: str,
-    *,
-    abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
-    max_dist: int = DEFAULT_MAX_DISTANCE,
-    fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
-) -> dict[TrieNode, tuple[MatchTechnique, ...]]:
-    """The pool after *input_token*: each node reached, mapped to its trail.
-
-    Each entry of *pool* forks once per candidate ``match_token`` lists, in
-    its order; an entry with no match dies. An entry on a leaf dies without
-    a ``match_token`` call: every technique steps to a child, at any
-    *max_dist*. Nodes keep the order in which they were first reached, and
-    *pool* itself is left unchanged.
-
-    Two trails may reach one node: from two entries, or from one entry whose
-    abbreviation target is also a fuzzy target. Of these twins, only the
-    first with the smallest technique sum is kept; a cheaper twin moves the
-    node to its own place. Twins on one node have the same continuations,
-    so each continuation of a dropped twin has a continuation of the kept
-    one beside it, with a sum no larger and on the same term. When the sums
-    are equal, the kept one comes first in every later pool.
-    ``select_longest`` would never pick the dropped one, so the result does
-    not change. A twin from the entry that made an earlier one comes later
-    in technique order, so its sum is larger and it is always dropped.
-    Every technique descends at least one trie level, so after the j-th
-    token of a start the pool holds at most one entry per node of depth j
-    or more, instead of doubling with each ambiguous short form.
-    """
-    successors: dict[TrieNode, tuple[MatchTechnique, ...]] = {}
-    for node, trail in pool.items():
-        if not node.children:  # a leaf: no technique can step below it
-            continue
-        for technique, target in match_token(
-            input_token, node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
-        ):
-            if target not in successors:
-                successors[target] = trail + (technique,)
-            elif sum(trail) + technique < sum(successors[target]):
-                del successors[target]  # re-insert, so the node moves to the cheaper twin's place
-                successors[target] = trail + (technique,)
-    return successors
 
 
 def select_longest(
@@ -123,7 +79,7 @@ def annotate_line(
     start a search, and no backtracking trades a committed match for a
     longer one further right. At *max_dist* 0 a start token that is
     neither a root child nor a short form in *abbrevs* starts no pool:
-    ``match_token`` from the root would list nothing for it.
+    no technique could step from the root on it.
     Pure over shared inputs, so lines can be annotated concurrently against
     one frozen trie. Raises ValueError if *max_dist* < 0 or *fuzzy_min_len* < 1.
 

@@ -19,6 +19,11 @@ that can keep the state alive. Each surviving child's state is carried
 on into its grandchildren the same way, when one of them is short enough
 to fit within *max_dist*. ``levenshtein_distance`` is kept
 as the standalone distance between two strings; matching does not call it.
+
+``advance_states`` steps a whole state pool by one input token, in one
+frame: it reads the token once and applies every technique to each pool
+entry in ``match_token``'s order, which lists the candidates from one
+node and is the reference the step is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import enum
 import threading
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from functools import partial
 from operator import itemgetter
 from os import PathLike
 from types import MappingProxyType
@@ -286,6 +290,12 @@ def _walk(
     bisect jumps to those characters' runs, in a run of any size. Any other
     run is split on its next character. The jump characters of a (state,
     depth) are worked out once per walk, in a table made at the first jump.
+
+    ``advance_states`` holds a second copy of the flat loop, for a node's
+    child tokens at depth 0, where the start state always has a cell below
+    max_dist: it scans a node of at most ``_LEAF_SIZE`` children in its own
+    loop and calls this walk only for wider nodes and for grandchildren.
+    Both copies must step alike.
     """
     k = auto.max_dist
     full, delta, least, advance = auto.full, auto.delta, auto.least, auto.advance
@@ -359,9 +369,6 @@ class TokenMatch(NamedTuple):
     target_node: TrieNode
 
 
-# TokenMatch((technique, node)) without the Python-level __new__ a named
-# tuple's constructor runs: this is made once per candidate of every step.
-_token_match = partial(tuple.__new__, TokenMatch)
 _PERFECT, _ABBREVIATION, _LEVENSHTEIN, _BIGRAM_LEVENSHTEIN = MatchTechnique
 
 
@@ -384,7 +391,7 @@ def match_token(
     perfect and abbreviation matches remain. Every candidate is listed,
     so an abbreviation target that is also within *max_dist* appears a
     second time under its fuzzy technique; the state pool keeps only the
-    strongest (see ``annotator.advance_states``).
+    strongest (see ``advance_states``).
 
     Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
     each surviving child's automaton state (see ``_Automaton``) decides
@@ -393,18 +400,19 @@ def match_token(
     state with no band cell below *max_dist* bisects to the runs of the
     characters that can keep it, so a child or pair that is too far may
     cost no step at all, and a child whose grandchildren are all too long
-    for the length window starts no second walk. The setup is one
-    character-to-bitmask dict for *input_token*, built once per pool step:
-    ``_Automaton.read`` keeps it for the last token read, and every state of
-    a step matches the same token.
+    for the length window starts no second walk.
 
     *node* must belong to a frozen trie: the walk follows its
     ``sorted_tokens``, which fixes the order of the result: perfect,
     abbreviations, then child matches in token order, then composed
     matches in (child, grandchild) order.
+
+    This is the per-node form of a pool step: ``advance_states`` forks
+    each entry as this lists its candidates, but finds them itself, with
+    no call here, and the tests compare the two.
     """
     child = node.children.get(input_token)
-    matches = [] if child is None else [_token_match((_PERFECT, child))]
+    matches = [] if child is None else [TokenMatch(_PERFECT, child)]
 
     for expansion in abbrevs.entries.get(input_token, ()):
         target: TrieNode | None = node
@@ -413,7 +421,7 @@ def match_token(
             if target is None:
                 break
         else:
-            matches.append(_token_match((_ABBREVIATION, target)))
+            matches.append(TokenMatch(_ABBREVIATION, target))
 
     if max_dist > 0:
         auto = _automaton(max_dist)
@@ -428,7 +436,7 @@ def match_token(
             mid = node.children[first]
             d = len(first)
             if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
-                matches.append(_token_match((_LEVENSHTEIN, mid)))
+                matches.append(TokenMatch(_LEVENSHTEIN, mid))
             grand = mid.sorted_tokens
             room = reach - d
             # Outside this window of lengths, cell n is out of the band: a child
@@ -437,7 +445,132 @@ def match_token(
                 window = range(n - max_dist - d, room + 1)
                 for second, last in _walk(auto, input_token, masks, other, grand, state, d, window):
                     if accept[last] >> room - len(second) & 1:
-                        composed.append(_token_match((_BIGRAM_LEVENSHTEIN, mid.children[second])))
+                        composed.append(TokenMatch(_BIGRAM_LEVENSHTEIN, mid.children[second]))
         matches += composed
 
     return matches
+
+
+def advance_states(
+    pool: dict[TrieNode, tuple[MatchTechnique, ...]],
+    input_token: str,
+    *,
+    abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
+    max_dist: int = DEFAULT_MAX_DISTANCE,
+    fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
+) -> dict[TrieNode, tuple[MatchTechnique, ...]]:
+    """The pool after *input_token*: each node reached, mapped to its trail.
+
+    Each entry of *pool* forks once per candidate ``match_token`` would
+    list for it, in its order; an entry with no match dies. An entry on a
+    leaf dies at once: every technique steps to a child, at any
+    *max_dist*. Nodes keep the order in which they were first reached, and
+    *pool* itself is left unchanged.
+
+    Two trails may reach one node: from two entries, or from one entry whose
+    abbreviation target is also a fuzzy target. Of these twins, only the
+    first with the smallest technique sum is kept; a cheaper twin moves the
+    node to its own place. Twins on one node have the same continuations,
+    so each continuation of a dropped twin has a continuation of the kept
+    one beside it, with a sum no larger and on the same term. When the sums
+    are equal, the kept one comes first in every later pool.
+    ``select_longest`` would never pick the dropped one, so the result does
+    not change. A twin from the entry that made an earlier one comes later
+    in technique order, so its sum is larger and it is always dropped.
+    Every technique descends at least one trie level, so after the j-th
+    token of a start the pool holds at most one entry per node of depth j
+    or more, instead of doubling with each ambiguous short form.
+
+    The whole step runs in this one frame, with no ``match_token`` call:
+    the token's short forms, its automaton masks and its length window are
+    looked up once per step, not once per entry. An entry's child tokens
+    are scanned here, one character step per token character, when there
+    are at most ``_LEAF_SIZE`` of them: at depth 0 the start state always
+    has a cell below *max_dist*, so ``_walk`` would scan them flat too.
+    Wider nodes, and every walk over a surviving child's grandchildren,
+    go through ``_walk``.
+    """
+    successors: dict[TrieNode, tuple[MatchTechnique, ...]] = {}
+    expansions = abbrevs.entries.get(input_token, ())
+    if max_dist > 0:
+        auto = _automaton(max_dist)
+        masks, other, start = auto.read(input_token)
+        full, delta, accept, advance = auto.full, auto.delta, auto.accept, auto.advance
+        n = len(input_token)
+        reach = n + max_dist  # as in match_token: no longer child or pair can match
+        lengths = range(reach + 1)
+        typo = n >= fuzzy_min_len
+    # Each candidate forks in match_token's order: a node's first fork holds
+    # its place, and a cheaper twin takes the node to its own.
+    for node, trail in pool.items():
+        children = node.children
+        if not children:  # a leaf: no technique can step below it
+            continue
+        child = children.get(input_token)
+        if child is not None:
+            fork = trail + (_PERFECT,)
+            if successors.setdefault(child, fork) is not fork:
+                _keep_cheaper(successors, child, fork)
+        for expansion in expansions:
+            target: TrieNode | None = node
+            for token in expansion:
+                target = target.children.get(token)
+                if target is None:
+                    break
+            else:
+                fork = trail + (_ABBREVIATION,)
+                if successors.setdefault(target, fork) is not fork:
+                    _keep_cheaper(successors, target, fork)
+        if max_dist > 0:
+            tokens = node.sorted_tokens
+            if len(tokens) > _LEAF_SIZE:
+                firsts = _walk(auto, input_token, masks, other, tokens, start, 0, lengths)
+            else:  # _walk's flat scan, from the start state at depth 0
+                firsts = []
+                for first in tokens:
+                    if len(first) <= reach:
+                        state, shift = start, 0
+                        for ch in first:  # advance() inlined: a table hit costs no call
+                            bits = masks.get(ch, other) >> shift & full
+                            try:
+                                state = delta[state][bits]
+                            except KeyError:
+                                state = advance(state, bits)
+                            if not state:
+                                break
+                            shift += 2
+                        else:
+                            firsts.append((first, state))
+            composed: list[TrieNode] = []
+            for first, state in firsts:
+                mid = children[first]
+                d = len(first)
+                if typo and accept[state] >> reach - d & 1 and first != input_token:
+                    fork = trail + (_LEVENSHTEIN,)
+                    if successors.setdefault(mid, fork) is not fork:
+                        _keep_cheaper(successors, mid, fork)
+                grand = mid.sorted_tokens
+                room = reach - d
+                if grand and min(map(len, grand)) <= room:
+                    window = range(n - max_dist - d, room + 1)
+                    for second, last in _walk(auto, input_token, masks, other, grand, state, d, window):
+                        if accept[last] >> room - len(second) & 1:
+                            composed.append(mid.children[second])
+            for target in composed:
+                fork = trail + (_BIGRAM_LEVENSHTEIN,)
+                if successors.setdefault(target, fork) is not fork:
+                    _keep_cheaper(successors, target, fork)
+    return successors
+
+
+def _keep_cheaper(
+    successors: dict[TrieNode, tuple[MatchTechnique, ...]],
+    target: TrieNode,
+    fork: tuple[MatchTechnique, ...],
+) -> None:
+    """The twin rule of ``advance_states``, for a *target* reached before:
+    *fork* replaces its trail only if its sum is smaller, and then the node
+    moves to the end, the place of the cheaper twin."""
+    if sum(fork) < sum(successors[target]):
+        del successors[target]
+        successors[target] = fork

@@ -2,8 +2,9 @@
 
 Dictionary terms and annotated text must go through the exact same
 pipeline, otherwise trie lookups silently miss: lowercase, canonical
-decomposition with combining marks dropped, punctuation and symbols
-replaced by spaces, whitespace split, stopword removal.
+decomposition with combining marks dropped, the ligatures œ and æ
+spelled out, punctuation and symbols replaced by spaces, whitespace
+split, stopword removal.
 
 Token offsets always point into the *original* string so annotations can
 report raw-text spans.
@@ -19,18 +20,25 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 
+# The French ligatures have no canonical decomposition, so NFD keeps them
+# whole: without this fold "œdème" would never meet "oedeme".
+_LIGATURES = str.maketrans({"œ": "oe", "æ": "ae"})
+
+
 @lru_cache(maxsize=8192)
 def _char_fragment(ch: str) -> str:
     """Normalized replacement for one input character (possibly empty).
 
-    A fragment of several characters that is not all alphanumeric is one
-    space: it ends a token, as a single punctuation character does.
+    œ and æ, and any character whose decomposition keeps one of them, fold
+    to two letters. A fragment of several characters that is not all
+    alphanumeric is one space: it ends a token, as a single punctuation
+    character does.
     """
     frag = "".join(
         c if c.isspace() or c.isalnum() else " "
         for c in unicodedata.normalize("NFD", ch.lower())
         if unicodedata.category(c) != "Mn"
-    )
+    ).translate(_LIGATURES)
     return frag if len(frag) < 2 or frag.isalnum() else " "
 
 
@@ -114,7 +122,7 @@ class TokenizedText(NamedTuple):
 
 # ``_FRAGMENTS`` maps a character to this when its fragment keeps a token
 # going but is not one letter: a bare combining mark (empty) or a character
-# that decomposes into several letters (a Hangul syllable). No character's
+# that decomposes or folds into several letters (a Hangul syllable, œ). No character's
 # fragment is NUL itself (NUL becomes a space).
 _SENTINEL = "\0"
 _TABLE_SIZE = 8192

@@ -74,7 +74,7 @@ def composed_trie() -> DictionaryTrie:
 @lru_cache(maxsize=256)  # keeps the characters around a probe; a sweep of every code point stays small
 def _reference_fragment(ch):
     return "".join(
-        c if c.isspace() or c.isalnum() else " "
+        {"œ": "oe", "æ": "ae"}.get(c, c) if c.isspace() or c.isalnum() else " "
         for c in unicodedata.normalize("NFD", ch.lower())
         if unicodedata.category(c) != "Mn"
     )
@@ -84,12 +84,13 @@ def reference_tokenize(raw, stopwords=frozenset()):
     """Character-by-character tokenizer oracle, as (tokens, offsets).
 
     Each character is lowercased and decomposed, its combining marks drop,
-    and what is left must be alphanumeric to extend a token: a character
-    that leaves nothing (a bare combining mark) starts no token but stays
-    in the span of the one it follows, and any other character ends the
-    token. Offsets are [start, end) character indexes into *raw*. Every
-    line is read one character at a time, with ``unicodedata`` directly and
-    none of the library's caches, translate table or run split.
+    œ and æ are spelled out as oe and ae, and what is left must be
+    alphanumeric to extend a token: a character that leaves nothing (a bare
+    combining mark) starts no token but stays in the span of the one it
+    follows, and any other character ends the token. Offsets are
+    [start, end) character indexes into *raw*. Every line is read one
+    character at a time, with ``unicodedata`` directly and none of the
+    library's caches, translate table or run split.
     """
     tokens, offsets, parts = [], [], []
     start = end = 0

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from termcoder import matcher
 from termcoder.annotator import advance_states, annotate_line, select_longest
 from termcoder.matcher import (
+    EMPTY_ABBREVIATIONS,
     AbbreviationTable,
     MatchTechnique,
     levenshtein_distance,
     load_abbreviations,
     match_token,
 )
-from termcoder.normalize import tokenize
+from termcoder.normalize import label_tokens, tokenize
 from termcoder.trie import DictionaryTrie, Term
 
 from helpers import (
@@ -26,10 +27,20 @@ from helpers import (
     heart_trie,
     iter_terms,
     leftmost_longest_windows,
+    lookup_path,
     reference_annotate,
 )
 
 INS_TABLE = AbbreviationTable.build({"ins": "insuffisance"})
+
+
+def label_trie(entries):
+    """A frozen trie of {label: code}, each path the label's tokens under the
+    default stopwords, as a dictionary build makes it."""
+    trie = DictionaryTrie()
+    for label, code in entries.items():
+        trie.insert_term(label_tokens(label), Term(label, code))
+    return trie.freeze()
 
 
 def assert_annotation_sound(annotation, trie, abbrevs, max_dist, fuzzy_min_len=5):
@@ -104,6 +115,36 @@ class TestGoldenSequences:
         ]
         for c, d in zip(composed, decomposed):  # a span keeps its trailing marks
             assert unicodedata.normalize("NFC", nfd[d.start_char : d.end_char]) == nfc[c.start_char : c.end_char]
+
+    @pytest.mark.parametrize("max_dist", [0, 1])
+    def test_ligature_line_annotates_term_spelled_out(self, max_dist):
+        # œ folds to "oe": the line meets the term spelled out, by perfect
+        # steps, and the span keeps the raw text.
+        trie = label_trie({"oedeme aigu du poumon": "J81"})
+        line = "Décès sur Œdème aigu du poumon"
+        anns = annotate_line(line, trie, max_dist=max_dist)
+        assert [(a.code, a.matched_tokens, a.techniques) for a in anns] == [
+            ("J81", ("oedeme", "aigu", "poumon"), (MatchTechnique.PERFECT,) * 3)
+        ]
+        assert line[anns[0].start_char : anns[0].end_char] == "Œdème aigu du poumon"
+
+    @pytest.mark.parametrize("line", ["OAP", "oedeme aigu du poumon", "Œdème aigu du poumon"])
+    def test_term_spelled_with_ligature_is_reached(self, line):
+        # The built-in short form "oap" expands to "oedeme aigu du poumon";
+        # it reaches a term written with œ, and so does the spelled-out line.
+        trie = label_trie({"Œdème aigu du poumon": "J81"})
+        anns = annotate_line(line, trie, abbrevs=load_abbreviations(), max_dist=0)
+        assert [(a.term_label, a.code) for a in anns] == [("Œdème aigu du poumon", "J81")]
+
+    @pytest.mark.parametrize("term", ["insuffisance du cœur", "insuffisance du coeur"])
+    def test_ligature_and_spelled_out_lines_annotate_alike(self, term):
+        trie = label_trie({term: "I50"})
+        lines = ("Insuffisance du CŒUR, cæcum", "insuffisance du coeur, caecum")
+        got = [annotate_line(line, trie) for line in lines]
+        assert [[(a.code, a.matched_tokens, a.techniques) for a in anns] for anns in got] == [
+            [("I50", ("insuffisance", "coeur"), (MatchTechnique.PERFECT,) * 2)]
+        ] * 2
+        assert [lines[0][a.start_char : a.end_char] for a in got[0]] == ["Insuffisance du CŒUR"]
 
     def test_composed_word_takes_longest_path(self):
         anns = annotate_line("MENINGOENCEPHALITE VIRALE", composed_trie())
@@ -221,12 +262,12 @@ class TestRootSearches:
         # nor a short form: no technique can match it there.
         root_calls = 0
 
-        def counting(input_token, node, *args, **kwargs):
+        def counting(pool, *args, **kwargs):
             nonlocal root_calls
-            root_calls += node is trie.root
-            return match_token(input_token, node, *args, **kwargs)
+            root_calls += trie.root in pool
+            return advance_states(pool, *args, **kwargs)
 
-        monkeypatch.setattr("termcoder.annotator.match_token", counting)
+        monkeypatch.setattr("termcoder.annotator.advance_states", counting)
         anns = annotate_line(raw, trie, NO_STOPWORDS, INS_TABLE, max_dist)
         covered = {i for a in anns for i in range(a.start_token, a.end_token + 1)}
         uncovered = [t for i, t in enumerate(tokenize(raw, NO_STOPWORDS).tokens) if i not in covered]
@@ -277,36 +318,48 @@ class TestAdvanceStates:
         assert next(iter(got)) is x.children["y"].children["z"]
 
     def test_pool_step_builds_the_token_setup_once(self, monkeypatch):
-        # Every state of a step matches the same token: match_token runs once
-        # per state, and all the calls share one build of the token's masks.
+        # Every entry of a step matches the same token: at max_dist 1 and 2
+        # the step reads it into the automaton once, whatever the size of its
+        # pool, and every walk of the step uses what that read built. At
+        # max_dist 0 nothing is read.
         trie = build_trie({"ab cd": "C1", "ab ce": "C2", "x cd": "C3", "y cf": "C4"})
         pool = {trie.root: ()} | {trie.root.children[t]: () for t in ("ab", "x", "y")}
-        walk, calls, masks = matcher._walk, 0, []
+        read, walk, reads, masks = matcher._Automaton.read, matcher._walk, [], []
 
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return match_token(*args, **kwargs)
+        def reading(auto, word):
+            setup = read(auto, word)
+            reads.append((word, setup[0]))
+            return setup
 
         def recording(auto, word, token_masks, *rest):
             masks.append(token_masks)
             return walk(auto, word, token_masks, *rest)
 
-        monkeypatch.setattr("termcoder.annotator.match_token", counting)
-        monkeypatch.setattr(matcher, "_walk", recording)
         monkeypatch.setattr(matcher, "_AUTOMATA", {})
+        for max_dist, token in itertools.product((0, 1, 2), ("cdx", "cdx", "ce")):
+            forks = first_cheapest_forks(pool, token, EMPTY_ABBREVIATIONS, max_dist, 1)
+            reads.clear()
+            masks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(matcher._Automaton, "read", reading)
+                patch.setattr(matcher, "_walk", recording)
+                got = advance_states(pool, token, max_dist=max_dist, fuzzy_min_len=1)
+            assert list(got.items()) == forks
+            if max_dist:
+                assert [word for word, _ in reads] == [token]
+                assert len(masks) >= (token == "cdx")  # "cdx" walks into grandchildren
+                assert all(m is reads[0][1] for m in masks)
+            else:
+                assert reads == masks == []
         got = advance_states(pool, "cdx", max_dist=1, fuzzy_min_len=1)
         assert [node.terminal.code for node in got] == ["C1", "C3"]
-        assert calls == len(pool)
-        assert len(masks) >= len(pool)
-        assert all(m is masks[0] for m in masks)
-        assert masks[0] == matcher._Automaton(1).read("cdx")[0]
 
     @pytest.mark.parametrize("max_dist", [0, 1, 2])
-    def test_leaves_cost_no_match(self, monkeypatch, max_dist):
+    def test_leaves_cost_no_match(self, max_dist):
         # A leaf has no child for any technique to reach: advance_states
-        # drops it without calling match_token, and the successors are those
-        # of a loop that matches every entry, each node at its first cheapest fork.
+        # drops it without reading its children or its child tokens, and the
+        # successors are those of a loop that matches every entry with
+        # match_token, each node at its first cheapest fork.
         trie = build_trie({"ab": "C1", "ab cd": "C2", "ab ce x": "C3", "x": "C4"})
         abbrevs = AbbreviationTable.build({"t": ["cd", "ce x"]}, NO_STOPWORDS)
         ab = trie.root.children["ab"]
@@ -314,32 +367,161 @@ class TestAdvanceStates:
         assert not leaf.children and leaf.terminal is not None
         assert terminal_interior.children and terminal_interior.terminal is not None
         assert interior.children and interior.terminal is None
+        reads = []
+        leaf.children, leaf.sorted_tokens = RecordingChildren(reads), RecordingTokens(reads)
         P = MatchTechnique.PERFECT
         pool = {leaf: (P,), terminal_interior: (P,), interior: (P, P)}
-        matched = []
-
-        def counting(input_token, node, *args, **kwargs):
-            matched.append(node)
-            return match_token(input_token, node, *args, **kwargs)
-
-        monkeypatch.setattr("termcoder.annotator.match_token", counting)
         reached = 0
         for token in ("cd", "ce", "x", "t", "cex", "c", "xx"):
-            forks = [
-                (target, trail + (technique,))
-                for node, trail in pool.items()
-                for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=1)
-            ]
-            kept = {}  # node: index in forks of its first trail of smallest sum
-            for i, (node, trail) in enumerate(forks):
-                if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
-                    kept[node] = i
-            matched.clear()
+            forks = first_cheapest_forks(pool, token, abbrevs, max_dist, 1)
+            reads.clear()
             got = advance_states(pool, token, abbrevs=abbrevs, max_dist=max_dist, fuzzy_min_len=1)
-            assert matched == [terminal_interior, interior]
-            assert list(got.items()) == [forks[i] for i in sorted(kept.values())]
+            assert reads == []
+            assert list(got.items()) == forks
             reached += len(got)
         assert reached > 0
+
+
+class RecordingChildren(dict):
+    """An empty ``children`` mapping that records each lookup or walk into *reads*."""
+
+    def __init__(self, reads):
+        super().__init__()
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads.append("get")
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads.append("__getitem__")
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads.append("__contains__")
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self.reads.append("__iter__")
+        return super().__iter__()
+
+    def items(self):
+        self.reads.append("items")
+        return super().items()
+
+
+class RecordingTokens(tuple):
+    """An empty ``sorted_tokens`` tuple that records each read into *reads*."""
+
+    def __new__(cls, reads):
+        self = super().__new__(cls)
+        self.reads = reads
+        return self
+
+    def __iter__(self):
+        self.reads.append("__iter__")
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self.reads.append("__getitem__")
+        return super().__getitem__(index)
+
+    def __len__(self):
+        self.reads.append("__len__")
+        return super().__len__()
+
+
+def first_cheapest_forks(pool, token, abbrevs, max_dist, fuzzy_min_len):
+    """The list ``match_token`` forks *pool* into on *token*, each node kept
+    once: at the place of its first trail of smallest sum."""
+    forks = [
+        (target, trail + (technique,))
+        for node, trail in pool.items()
+        for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len)
+    ]
+    kept = {}  # node: index in forks of its first trail of smallest sum
+    for i, (node, trail) in enumerate(forks):
+        if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
+            kept[node] = i
+    return [forks[i] for i in sorted(kept.values())]
+
+
+# Every word of one to five letters over "abc": nodes draw their child
+# tokens from it, so that many are within an edit or two of each other.
+ABC_WORDS = ["".join(p) for m in range(1, 6) for p in itertools.product("abc", repeat=m)]
+
+
+@st.composite
+def leaf_size_cases(draw):
+    """A trie whose nodes have at most ``_LEAF_SIZE`` children (exactly that
+    many at times) or 65 to 200, short forms expanding along its paths, a
+    pool over its nodes with random trails, and tokens to step the pool by:
+    child tokens, child + grandchild concatenations and short forms, each
+    with up to two random edits."""
+    rnd = draw(st.randoms(use_true_random=False))
+    wide = st.integers(matcher._LEAF_SIZE + 1, 200)
+
+    def tokens(width=None):
+        if width is None:
+            width = rnd.choice((rnd.randint(1, 8), matcher._LEAF_SIZE))
+        return rnd.sample(ABC_WORDS, width)
+
+    wide_root = draw(st.booleans())  # the root or its first interior child is wide
+    paths = [(first,) for first in tokens(draw(wide) if wide_root else None)]
+    for i, (first,) in enumerate(rnd.sample(paths, min(6, len(paths)))):
+        seconds = tokens(draw(wide) if i == 0 and not wide_root else None)
+        paths += [(first, second) for second in seconds]
+        for second in rnd.sample(seconds, min(3, len(seconds))):
+            paths += [(first, second, third) for third in tokens(rnd.randint(1, 8))]
+    trie = DictionaryTrie()
+    for path in paths:
+        trie.insert_term(path, Term(" ".join(path), f"C{rnd.randrange(3)}"))
+    trie.freeze()
+
+    def edited(token):
+        for _ in range(rnd.randint(0, 2)):
+            i = rnd.randint(0, len(token))
+            ch = rnd.choice("abc")
+            edits = (token[:i] + ch + token[i + 1 :], token[:i] + ch + token[i:], token[:i] + token[i + 1 :])
+            token = rnd.choice(edits)
+        return token or ch
+
+    spans = [
+        path[i:j]
+        for path in rnd.sample(paths, min(12, len(paths)))
+        for i in range(len(path))
+        for j in range(i + 1, len(path) + 1)
+    ]
+    mapping = {}
+    for short in rnd.sample(ABC_WORDS, 3):
+        mapping[short] = [" ".join(rnd.choice(spans)) for _ in range(rnd.randint(1, 3))]
+    abbrevs = AbbreviationTable.build(mapping, NO_STOPWORDS)
+    # Every interior node, and some leaves, in a random order.
+    nodes = [lookup_path(trie, path[:-1]) for path in paths]
+    nodes = list(dict.fromkeys(nodes + [lookup_path(trie, path) for path in rnd.sample(paths, 3)]))
+    trails = [tuple(rnd.choices(list(MatchTechnique), k=rnd.randint(0, 2))) for _ in nodes]
+    pool = dict(zip(rnd.sample(nodes, len(nodes)), trails))
+    probes = [edited(rnd.choice(paths)[-1]) for _ in range(3)]
+    pairs = [path[-2:] for path in paths if len(path) > 1]
+    probes += [edited("".join(rnd.choice(pairs))) for _ in range(3)]
+    probes += [edited(short) for short in abbrevs.entries] + list(abbrevs.entries)
+    return pool, abbrevs, probes, rnd.randint(1, 4)
+
+
+@given(case=leaf_size_cases())
+@settings(max_examples=40, deadline=None)
+def test_step_equals_match_token_forks_on_both_sides_of_leaf_size(case):
+    # advance_states scans nodes of at most _LEAF_SIZE children itself and
+    # walks wider ones with _walk; match_token walks every node. The step
+    # must fork every entry as match_token lists its candidates, trails and
+    # order included, with each node at its first cheapest fork.
+    pool, abbrevs, probes, fuzzy_min_len = case
+    widths = {len(node.children) for node in pool}
+    assert any(0 < width <= matcher._LEAF_SIZE for width in widths)
+    assert max(widths) > matcher._LEAF_SIZE
+    for max_dist, token in itertools.product((0, 1, 2), probes):
+        got = advance_states(pool, token, abbrevs=abbrevs, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
+        assert list(got.items()) == first_cheapest_forks(pool, token, abbrevs, max_dist, fuzzy_min_len)
 
 
 def tie_trie():

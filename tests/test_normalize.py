@@ -19,12 +19,13 @@ from helpers import reference_tokenize
 
 
 def reference_normalize(raw: str) -> str:
-    """Character-by-character oracle: lowercase, NFD minus marks, punct -> space."""
+    """Character-by-character oracle: lowercase, NFD minus marks, œ and æ
+    spelled out, punct -> space."""
     out = []
     for ch in unicodedata.normalize("NFD", raw.lower()):
         if unicodedata.category(ch) == "Mn":
             continue
-        out.append(ch if ch.isspace() or ch.isalnum() else " ")
+        out.append({"œ": "oe", "æ": "ae"}.get(ch, ch) if ch.isspace() or ch.isalnum() else " ")
     return "".join(out)
 
 
@@ -59,6 +60,21 @@ class TestNormalizeText:
     @given(st.text(alphabet="abcdefghié èàçùâ-XYZ", max_size=40))
     def test_case_insensitive(self, raw):
         assert normalize_text(raw.upper()) == normalize_text(raw)
+
+    @pytest.mark.parametrize(
+        "raw, folded", [("Œdème", "oedeme"), ("cœur", "coeur"), ("CÆCUM", "caecum"), ("ǽ", "ae")]
+    )
+    def test_ligatures_are_spelled_out(self, raw, folded):
+        assert normalize_text(raw) == folded
+        got = tokenize(raw, NormalizationConfig(stopwords=frozenset()))
+        assert got.tokens == (folded,)
+        assert got.offsets == ((0, len(raw)),)
+
+    @pytest.mark.parametrize("raw", ["\ufb01evre", "\uff21\uff22"])
+    def test_compatibility_forms_are_kept(self, raw):
+        # Only canonical decomposition applies: "ﬁ" and full-width letters
+        # are letters of their own, not "fi" or "AB" (no NFKD).
+        assert normalize_text(raw) == raw.lower()
 
     def test_combining_marks_do_not_change_result(self):
         plain = "aigue"
