@@ -21,9 +21,10 @@ to fit within *max_dist*. ``levenshtein_distance`` is kept
 as the standalone distance between two strings; matching does not call it.
 
 ``advance_states`` steps a whole state pool by one input token, in one
-frame: it reads the token once and applies every technique to each pool
-entry in ``match_token``'s order, which lists the candidates from one
-node and is the reference the step is tested against.
+frame: it reads the token once and forks each pool entry once per
+candidate from the entry's node, in this order: the perfect child,
+abbreviation targets in table order, Levenshtein children in sorted
+order, then composed pairs in (child, grandchild) order.
 """
 
 from __future__ import annotations
@@ -278,8 +279,8 @@ def _walk(
     depth: int,
     lengths: range,
 ) -> list[tuple[str, int]]:
-    """``(token, state)``, in order, for each sorted token with a length in
-    *lengths* whose state, continued from *state* at *depth*, is alive.
+    """``(token, state)``, in token order, for each sorted token with a length
+    in *lengths* whose state, continued from *state* at *depth*, is alive.
 
     A run of tokens with a common prefix steps through the prefix once, and
     a dead prefix drops the run. A run of at most ``_LEAF_SIZE`` tokens whose
@@ -362,93 +363,7 @@ def _walk(
     return found
 
 
-class TokenMatch(NamedTuple):
-    """One way an input token can advance from the current node."""
-
-    technique: MatchTechnique
-    target_node: TrieNode
-
-
 _PERFECT, _ABBREVIATION, _LEVENSHTEIN, _BIGRAM_LEVENSHTEIN = MatchTechnique
-
-
-def match_token(
-    input_token: str,
-    node: TrieNode,
-    abbrevs: AbbreviationTable = EMPTY_ABBREVIATIONS,
-    max_dist: int = DEFAULT_MAX_DISTANCE,
-    *,
-    fuzzy_min_len: int = DEFAULT_FUZZY_MIN_LENGTH,
-) -> list[TokenMatch]:
-    """All ways *input_token* can advance the trie from *node*.
-
-    Techniques, strongest first: perfect child lookup; abbreviation
-    expansion walked through the trie by perfect steps; edit distance
-    <= *max_dist* to a child token (inputs shorter than *fuzzy_min_len*
-    are excluded); edit distance <= *max_dist* to the concatenation of a
-    child + grandchild pair (composed words, whatever the input length).
-    Both distance-based techniques are off when *max_dist* is 0, so only
-    perfect and abbreviation matches remain. Every candidate is listed,
-    so an abbreviation target that is also within *max_dist* appears a
-    second time under its fuzzy technique; the state pool keeps only the
-    strongest (see ``advance_states``).
-
-    Fuzzy candidates come from ``_walk`` over ``node.sorted_tokens``:
-    each surviving child's automaton state (see ``_Automaton``) decides
-    the child itself, and a second walk carries it into the child's sorted
-    grandchildren. Prefix states are shared, dead prefixes skipped, and a
-    state with no band cell below *max_dist* bisects to the runs of the
-    characters that can keep it, so a child or pair that is too far may
-    cost no step at all, and a child whose grandchildren are all too long
-    for the length window starts no second walk.
-
-    *node* must belong to a frozen trie: the walk follows its
-    ``sorted_tokens``, which fixes the order of the result: perfect,
-    abbreviations, then child matches in token order, then composed
-    matches in (child, grandchild) order.
-
-    This is the per-node form of a pool step: ``advance_states`` forks
-    each entry as this lists its candidates, but finds them itself, with
-    no call here, and the tests compare the two.
-    """
-    child = node.children.get(input_token)
-    matches = [] if child is None else [TokenMatch(_PERFECT, child)]
-
-    for expansion in abbrevs.entries.get(input_token, ()):
-        target: TrieNode | None = node
-        for token in expansion:
-            target = target.children.get(token)
-            if target is None:
-                break
-        else:
-            matches.append(TokenMatch(_ABBREVIATION, target))
-
-    if max_dist > 0:
-        auto = _automaton(max_dist)
-        masks, other, start = auto.read(input_token)
-        accept = auto.accept
-        n = len(input_token)
-        reach = n + max_dist  # a state at depth D accepts when cell n - D + max_dist is at most max_dist
-        composed: list[TokenMatch] = []
-        # A longer first token is too long, and so is every first + second.
-        firsts = _walk(auto, input_token, masks, other, node.sorted_tokens, start, 0, range(reach + 1))
-        for first, state in firsts:
-            mid = node.children[first]
-            d = len(first)
-            if accept[state] >> reach - d & 1 and n >= fuzzy_min_len and first != input_token:
-                matches.append(TokenMatch(_LEVENSHTEIN, mid))
-            grand = mid.sorted_tokens
-            room = reach - d
-            # Outside this window of lengths, cell n is out of the band: a child
-            # whose grandchildren are all too long starts no walk.
-            if grand and min(map(len, grand)) <= room:
-                window = range(n - max_dist - d, room + 1)
-                for second, last in _walk(auto, input_token, masks, other, grand, state, d, window):
-                    if accept[last] >> room - len(second) & 1:
-                        composed.append(TokenMatch(_BIGRAM_LEVENSHTEIN, mid.children[second]))
-        matches += composed
-
-    return matches
 
 
 def advance_states(
@@ -461,11 +376,17 @@ def advance_states(
 ) -> dict[TrieNode, tuple[MatchTechnique, ...]]:
     """The pool after *input_token*: each node reached, mapped to its trail.
 
-    Each entry of *pool* forks once per candidate ``match_token`` would
-    list for it, in its order; an entry with no match dies. An entry on a
-    leaf dies at once: every technique steps to a child, at any
-    *max_dist*. Nodes keep the order in which they were first reached, and
-    *pool* itself is left unchanged.
+    Each entry of *pool* forks once per candidate from its node, strongest
+    technique first: the perfect child; each abbreviation expansion walked
+    by perfect steps, in table order; each child within *max_dist* edits,
+    in sorted order (not the perfect child, nor for an input shorter than
+    *fuzzy_min_len*); then each child + grandchild pair within *max_dist*
+    of the input (composed words, at any input length), in (child,
+    grandchild) order. *max_dist* 0 turns both fuzzy techniques off. An
+    entry with no match dies; one on a leaf dies at once. Nodes keep the
+    order in which they were first reached, and *pool* is left unchanged.
+    Its nodes must belong to a frozen trie: their ``sorted_tokens`` fix
+    the fuzzy order.
 
     Two trails may reach one node: from two entries, or from one entry whose
     abbreviation target is also a fuzzy target. Of these twins, only the
@@ -481,14 +402,13 @@ def advance_states(
     token of a start the pool holds at most one entry per node of depth j
     or more, instead of doubling with each ambiguous short form.
 
-    The whole step runs in this one frame, with no ``match_token`` call:
-    the token's short forms, its automaton masks and its length window are
-    looked up once per step, not once per entry. An entry's child tokens
-    are scanned here, one character step per token character, when there
-    are at most ``_LEAF_SIZE`` of them: at depth 0 the start state always
-    has a cell below *max_dist*, so ``_walk`` would scan them flat too.
-    Wider nodes, and every walk over a surviving child's grandchildren,
-    go through ``_walk``.
+    The whole step runs in this one frame: the token's short forms, its
+    automaton masks and its length window are looked up once per step, not
+    once per entry. An entry's child tokens are scanned here, one character
+    step per token character, when there are at most ``_LEAF_SIZE`` of
+    them: at depth 0 the start state always has a cell below *max_dist*,
+    so ``_walk`` would scan them flat too. Wider nodes, and every walk over
+    a surviving child's grandchildren, go through ``_walk``.
     """
     successors: dict[TrieNode, tuple[MatchTechnique, ...]] = {}
     expansions = abbrevs.entries.get(input_token, ())
@@ -497,11 +417,11 @@ def advance_states(
         masks, other, start = auto.read(input_token)
         full, delta, accept, advance = auto.full, auto.delta, auto.accept, auto.advance
         n = len(input_token)
-        reach = n + max_dist  # as in match_token: no longer child or pair can match
-        lengths = range(reach + 1)
+        reach = n + max_dist  # a state at depth D accepts when cell n - D + max_dist is at most max_dist
+        lengths = range(reach + 1)  # a longer child is too long, and so is every child + grandchild
         typo = n >= fuzzy_min_len
-    # Each candidate forks in match_token's order: a node's first fork holds
-    # its place, and a cheaper twin takes the node to its own.
+    # Each candidate forks in the order above: a node's first fork holds its
+    # place, and a cheaper twin takes the node to its own.
     for node, trail in pool.items():
         children = node.children
         if not children:  # a leaf: no technique can step below it
@@ -551,6 +471,8 @@ def advance_states(
                         _keep_cheaper(successors, mid, fork)
                 grand = mid.sorted_tokens
                 room = reach - d
+                # Outside this window of lengths, cell n is out of the band: a child
+                # whose grandchildren are all too long starts no walk.
                 if grand and min(map(len, grand)) <= room:
                     window = range(n - max_dist - d, room + 1)
                     for second, last in _walk(auto, input_token, masks, other, grand, state, d, window):

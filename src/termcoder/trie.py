@@ -25,19 +25,15 @@ _NO_CHILDREN: dict[str, "TrieNode"] = {}
 
 
 class TrieNode:
-    __slots__ = ("token", "children", "terminal", "sorted_tokens")
+    __slots__ = ("children", "terminal", "sorted_tokens")
 
-    def __init__(self, token: str | None = None):
-        self.token = token
+    def __init__(self) -> None:
         self.children: dict[str, TrieNode] = _NO_CHILDREN
         self.terminal: Term | None = None
         self.sorted_tokens: tuple[str, ...] = ()
 
     def __repr__(self) -> str:
-        return (
-            f"TrieNode({self.token!r}, children={len(self.children)}, "
-            f"terminal={self.terminal is not None})"
-        )
+        return f"TrieNode(children={len(self.children)}, terminal={self.terminal is not None})"
 
 
 class DictionaryTrie:
@@ -66,7 +62,7 @@ class DictionaryTrie:
             if child is None:
                 if node.children is _NO_CHILDREN:
                     node.children = {}
-                child = node.children[token] = TrieNode(token)
+                child = node.children[token] = TrieNode()
             node = child
         if node.terminal is None:
             self.term_count += 1

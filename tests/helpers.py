@@ -5,7 +5,6 @@ from functools import lru_cache
 from typing import Iterator
 
 from termcoder import BuildReport, DictionaryTrie, MatchTechnique, NormalizationConfig
-from termcoder.matcher import match_token
 from termcoder.normalize import tokenize
 from termcoder.trie import Term, TrieNode
 
@@ -136,6 +135,7 @@ def leftmost_longest_windows(term_paths, tokens):
     return hits
 
 
+@lru_cache(maxsize=1 << 16)  # the fork-list references ask for the same pairs again and again
 def edit_distance_reference(a: str, b: str) -> int:
     """Textbook full-matrix edit distance, kept independent of the library."""
     rows, cols = len(a) + 1, len(b) + 1
@@ -155,21 +155,20 @@ def edit_distance_reference(a: str, b: str) -> int:
     return dist[-1][-1]
 
 
-def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_len):
-    """Brute-force match_token from the node at *path*, as the set of every
-    (technique, target path) candidate.
+def reference_match_token(input_token, node, abbrevs, max_dist, fuzzy_min_len):
+    """Brute-force candidates of *input_token* from *node*, as the ordered
+    list of (technique, target node) a pool step forks an entry into.
 
-    Plain dict walks over children and grandchildren with the reference
-    edit distance and no length filters. A target that two techniques
-    reach is listed under both: nothing here keeps the strongest one. The
-    differential test compares the library against it.
+    The order: the perfect child, abbreviation targets in table order,
+    children within *max_dist* in sorted order, then child + grandchild
+    pairs within *max_dist* in (child, grandchild) order. Plain dict walks
+    over ``sorted`` children and grandchildren, with the reference edit
+    distance and no length filters. A target that two techniques reach is
+    listed under both: nothing here keeps the strongest one.
     """
-    node = trie.root
-    for token in path:
-        node = node.children[token]
     found = []
     if input_token in node.children:
-        found.append((MatchTechnique.PERFECT, path + (input_token,)))
+        found.append((MatchTechnique.PERFECT, node.children[input_token]))
     for expansion in abbrevs.entries.get(input_token, ()):
         target = node
         for token in expansion:
@@ -177,18 +176,35 @@ def reference_match_token(input_token, trie, path, abbrevs, max_dist, fuzzy_min_
             if target is None:
                 break
         else:
-            found.append((MatchTechnique.ABBREVIATION, path + expansion))
+            found.append((MatchTechnique.ABBREVIATION, target))
     if max_dist > 0:
-        for first, child in node.children.items():
-            if (
-                len(input_token) >= fuzzy_min_len
-                and 0 < edit_distance_reference(input_token, first) <= max_dist  # 0 is the perfect child
-            ):
-                found.append((MatchTechnique.LEVENSHTEIN, path + (first,)))
-            for second in child.children:
+        firsts = sorted(node.children)
+        if len(input_token) >= fuzzy_min_len:
+            for first in firsts:
+                if 0 < edit_distance_reference(input_token, first) <= max_dist:  # 0 is the perfect child
+                    found.append((MatchTechnique.LEVENSHTEIN, node.children[first]))
+        for first in firsts:
+            child = node.children[first]
+            for second in sorted(child.children):
                 if edit_distance_reference(input_token, first + second) <= max_dist:
-                    found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, path + (first, second)))
-    return set(found)
+                    found.append((MatchTechnique.BIGRAM_LEVENSHTEIN, child.children[second]))
+    return found
+
+
+def first_cheapest_forks(pool, token, abbrevs, max_dist, fuzzy_min_len):
+    """The (node, trail) list ``reference_match_token`` forks *pool* into on
+    *token*, each node kept once: at the place of its first trail of
+    smallest sum. A pool step must return exactly this, in this order."""
+    forks = [
+        (target, trail + (technique,))
+        for node, trail in pool.items()
+        for technique, target in reference_match_token(token, node, abbrevs, max_dist, fuzzy_min_len)
+    ]
+    kept = {}  # node: index in forks of its first trail of smallest sum
+    for i, (node, trail) in enumerate(forks):
+        if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
+            kept[node] = i
+    return [forks[i] for i in sorted(kept.values())]
 
 
 def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
@@ -205,15 +221,15 @@ def reference_annotate(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
     start = 0
     while start < len(tokens):
         best = None
-        stack = [(start, (), 0)]  # next token, trie path so far, technique sum
+        stack = [(start, trie.root, 0)]  # next token, trie node so far, technique sum
         while stack:
-            index, path, cost = stack.pop()
+            index, node, cost = stack.pop()
             if index == len(tokens):
                 continue
-            steps = reference_match_token(tokens[index], trie, path, abbrevs, max_dist, fuzzy_min_len)
+            steps = reference_match_token(tokens[index], node, abbrevs, max_dist, fuzzy_min_len)
             for technique, target in steps:
                 total = cost + technique
-                term = lookup_path(trie, target).terminal
+                term = target.terminal
                 if term is not None:
                     key = (-index, total, term.label, term.code)
                     if best is None or key < best:
@@ -233,12 +249,12 @@ def annotate_keeping_twins(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
     (start_token, end_token, label, code, techniques) tuples.
 
     The pool is a list of (node, trail) pairs. Each step forks every pair
-    once per ``match_token`` candidate, and a node reached along two trails
-    stays in the list twice. Each step picks the pair on a term node with
-    the smallest (technique sum, label, code), the first in list order of
-    equal keys: the rule of ``select_longest``. The last step with such a
-    pair is committed. The pool-bound tests compare annotate_line against
-    it, trails included.
+    once per ``reference_match_token`` candidate, in its order, and a node
+    reached along two trails stays in the list twice. Each step picks the
+    pair on a term node with the smallest (technique sum, label, code), the
+    first in list order of equal keys: the rule of ``select_longest``. The
+    last step with such a pair is committed. The pool-bound tests compare
+    annotate_line against it, trails included.
     """
     found = []
     start = 0
@@ -248,8 +264,8 @@ def annotate_keeping_twins(tokens, trie, abbrevs, max_dist, fuzzy_min_len):
             pool = [
                 (target, trail + (technique,))
                 for node, trail in pool
-                for technique, target in match_token(
-                    tokens[index], node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len
+                for technique, target in reference_match_token(
+                    tokens[index], node, abbrevs, max_dist, fuzzy_min_len
                 )
             ]
             hit = min(

@@ -14,7 +14,6 @@ from termcoder.matcher import (
     MatchTechnique,
     levenshtein_distance,
     load_abbreviations,
-    match_token,
 )
 from termcoder.normalize import label_tokens, tokenize
 from termcoder.trie import DictionaryTrie, Term
@@ -24,11 +23,13 @@ from helpers import (
     annotate_keeping_twins,
     build_trie,
     composed_trie,
+    first_cheapest_forks,
     heart_trie,
     iter_terms,
     leftmost_longest_windows,
     lookup_path,
     reference_annotate,
+    reference_match_token,
 )
 
 INS_TABLE = AbbreviationTable.build({"ins": "insuffisance"})
@@ -281,7 +282,10 @@ class TestAdvanceStates:
         trie = composed_trie()
         successors = advance_states({trie.root: ()}, "meningoencephalite")
         assert len(successors) == 2
-        assert {node.token for node in successors} == {"meningoencephalite", "encephalite"}
+        assert set(successors) == {
+            lookup_path(trie, ("meningoencephalite",)),
+            lookup_path(trie, ("meningo", "encephalite")),
+        }
 
     def test_empty_pool_spawns_fresh_root_attempt(self):
         trie = heart_trie()
@@ -358,8 +362,8 @@ class TestAdvanceStates:
     def test_leaves_cost_no_match(self, max_dist):
         # A leaf has no child for any technique to reach: advance_states
         # drops it without reading its children or its child tokens, and the
-        # successors are those of a loop that matches every entry with
-        # match_token, each node at its first cheapest fork.
+        # successors are the brute-force fork list, each node at its first
+        # cheapest fork.
         trie = build_trie({"ab": "C1", "ab cd": "C2", "ab ce x": "C3", "x": "C4"})
         abbrevs = AbbreviationTable.build({"t": ["cd", "ce x"]}, NO_STOPWORDS)
         ab = trie.root.children["ab"]
@@ -431,21 +435,6 @@ class RecordingTokens(tuple):
         return super().__len__()
 
 
-def first_cheapest_forks(pool, token, abbrevs, max_dist, fuzzy_min_len):
-    """The list ``match_token`` forks *pool* into on *token*, each node kept
-    once: at the place of its first trail of smallest sum."""
-    forks = [
-        (target, trail + (technique,))
-        for node, trail in pool.items()
-        for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=fuzzy_min_len)
-    ]
-    kept = {}  # node: index in forks of its first trail of smallest sum
-    for i, (node, trail) in enumerate(forks):
-        if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
-            kept[node] = i
-    return [forks[i] for i in sorted(kept.values())]
-
-
 # Every word of one to five letters over "abc": nodes draw their child
 # tokens from it, so that many are within an edit or two of each other.
 ABC_WORDS = ["".join(p) for m in range(1, 6) for p in itertools.product("abc", repeat=m)]
@@ -510,11 +499,11 @@ def leaf_size_cases(draw):
 
 @given(case=leaf_size_cases())
 @settings(max_examples=40, deadline=None)
-def test_step_equals_match_token_forks_on_both_sides_of_leaf_size(case):
+def test_step_equals_reference_forks_on_both_sides_of_leaf_size(case):
     # advance_states scans nodes of at most _LEAF_SIZE children itself and
-    # walks wider ones with _walk; match_token walks every node. The step
-    # must fork every entry as match_token lists its candidates, trails and
-    # order included, with each node at its first cheapest fork.
+    # walks wider ones with _walk. Either way it must fork every entry as
+    # the brute-force reference lists its candidates, trails and order
+    # included, with each node at its first cheapest fork.
     pool, abbrevs, probes, fuzzy_min_len = case
     widths = {len(node.children) for node in pool}
     assert any(0 < width <= matcher._LEAF_SIZE for width in widths)
@@ -852,18 +841,17 @@ def test_advance_leaves_its_input_pool_and_keeps_first_reached_order():
             forks = [
                 (target, trail + (technique,))
                 for node, trail in before
-                for technique, target in match_token(token, node, abbrevs, 1, fuzzy_min_len=5)
+                for technique, target in reference_match_token(token, node, abbrevs, 1, 5)
             ]
-            first, kept = {}, {}  # node: index in forks of its first trail, of its first smallest sum
-            for i, (node, trail) in enumerate(forks):
-                first.setdefault(node, i)
-                if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
-                    kept[node] = i
+            first = {}  # node: its first trail
+            for node, trail in forks:
+                first.setdefault(node, trail)
+            kept = first_cheapest_forks(pool, token, abbrevs, 1, 5)
             got = advance_states(pool, token, abbrevs=abbrevs, max_dist=1, fuzzy_min_len=5)
             assert list(pool.items()) == before
-            assert list(got.items()) == [forks[i] for i in sorted(kept.values())]
+            assert list(got.items()) == kept
             twins += len(forks) - len(kept)
-            moved += first != kept
+            moved += any(first[node] != trail for node, trail in kept)
             pool = got
             if not pool:
                 break
@@ -884,16 +872,8 @@ def test_adversarial_pools_keep_each_node_at_its_first_cheapest_fork(case):
         for start in range(len(line)):
             pool = {trie.root: ()}
             for token in line[start:]:
-                forks = [
-                    (target, trail + (technique,))
-                    for node, trail in pool.items()
-                    for technique, target in match_token(token, node, abbrevs, max_dist, fuzzy_min_len=5)
-                ]
-                kept = {}  # node: index in forks of its first trail of smallest sum
-                for i, (node, trail) in enumerate(forks):
-                    if node not in kept or sum(trail) < sum(forks[kept[node]][1]):
-                        kept[node] = i
+                kept = first_cheapest_forks(pool, token, abbrevs, max_dist, 5)
                 pool = advance_states(pool, token, abbrevs=abbrevs, max_dist=max_dist, fuzzy_min_len=5)
-                assert list(pool.items()) == [forks[i] for i in sorted(kept.values())]
+                assert list(pool.items()) == kept
                 if not pool:
                     break

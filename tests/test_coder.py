@@ -321,9 +321,8 @@ def test_build_matches_reference(corpus_rows, list_rows):
     interned = {}  # equal tokens and codes, on any path and from either source, are one object
     for node in iter_nodes(trie):
         assert node.sorted_tokens == tuple(sorted(node.children))
-        for token, child in node.children.items():
+        for token in node.children:
             assert interned.setdefault(token, token) is token
-            assert child.token is token
     for path, term in iter_terms(trie):
         for string in path + (term.code,):
             assert interned.setdefault(string, string) is string

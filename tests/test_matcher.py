@@ -14,9 +14,9 @@ from termcoder.matcher import (
     EMPTY_ABBREVIATIONS,
     AbbreviationTable,
     MatchTechnique,
+    advance_states,
     levenshtein_distance,
     load_abbreviations,
-    match_token,
 )
 from termcoder.normalize import NormalizationConfig, default_stopwords
 from termcoder.trie import DictionaryTrie, Term
@@ -26,12 +26,15 @@ from helpers import (
     build_trie,
     composed_trie,
     edit_distance_reference,
+    first_cheapest_forks,
     heart_trie,
     iter_nodes,
     iter_terms,
     lookup_path,
     reference_match_token,
 )
+
+P, A, L, B = MatchTechnique
 
 
 class TestLevenshtein:
@@ -137,69 +140,62 @@ class TestExpandAbbreviation:
 
 
 class TestMatchToken:
+    """One pool step from a single node, ``{node: ()}``: the candidates of one token there."""
+
     def test_abbreviation_advances_one_level(self):
         trie = heart_trie()
         table = AbbreviationTable.build({"ins": "insuffisance"})
-        matches = match_token("ins", trie.root, table, 1)
-        assert len(matches) == 1
-        assert matches[0].technique is MatchTechnique.ABBREVIATION
-        assert matches[0].target_node.token == "insuffisance"
+        got = advance_states({trie.root: ()}, "ins", abbrevs=table, max_dist=1)
+        assert list(got.items()) == [(lookup_path(trie, ("insuffisance",)), (A,))]
 
     def test_unigram_and_bigram_paths_both_found(self):
         trie = composed_trie()
+        targets = [lookup_path(trie, ("meningoencephalite",)), lookup_path(trie, ("meningo", "encephalite"))]
         # The misspellings edit the meningo|encephalite join, where the
         # composed-word scan moves from the first token to the second.
         for probe, unigram in (
-            ("meningoencephalite", MatchTechnique.PERFECT),
-            ("meningencephalite", MatchTechnique.LEVENSHTEIN),  # deletion
-            ("meningoxencephalite", MatchTechnique.LEVENSHTEIN),  # insertion
-            ("meningaencephalite", MatchTechnique.LEVENSHTEIN),  # substitution
+            ("meningoencephalite", P),
+            ("meningencephalite", L),  # deletion
+            ("meningoxencephalite", L),  # insertion
+            ("meningaencephalite", L),  # substitution
         ):
-            matches = match_token(probe, trie.root)
-            assert [m.technique for m in matches] == [unigram, MatchTechnique.BIGRAM_LEVENSHTEIN], probe
-            assert matches[0].target_node.token == "meningoencephalite"
-            assert matches[1].target_node.token == "encephalite"
+            got = advance_states({trie.root: ()}, probe)
+            assert list(got.items()) == list(zip(targets, [(unigram,), (B,)])), probe
 
     def test_no_match(self):
         trie = heart_trie()
-        assert match_token("zzz", trie.root) == []
+        assert advance_states({trie.root: ()}, "zzz") == {}
 
     def test_levenshtein_respects_length_floor(self):
         trie = build_trie({"aigue": "X00"})
-        assert match_token("aigu", trie.root, max_dist=1) == []
-        matches = match_token("aigu", trie.root, max_dist=1, fuzzy_min_len=4)
-        assert [m.technique for m in matches] == [MatchTechnique.LEVENSHTEIN]
+        assert advance_states({trie.root: ()}, "aigu", max_dist=1) == {}
+        got = advance_states({trie.root: ()}, "aigu", max_dist=1, fuzzy_min_len=4)
+        assert list(got.values()) == [(L,)]
 
     def test_max_dist_zero_is_perfect_only(self):
         trie = composed_trie()
         for node in iter_nodes(trie):
             for probe in ("meningoencephalite", "meningo", "virale", "encephalit", "zz"):
-                matches = match_token(probe, node, max_dist=0)
+                got = advance_states({node: ()}, probe, max_dist=0)
                 expected = node.children.get(probe)
-                if expected is None:
-                    assert matches == []
-                else:
-                    assert len(matches) == 1
-                    assert matches[0].technique is MatchTechnique.PERFECT
-                    assert matches[0].target_node is expected
+                assert got == ({} if expected is None else {expected: (P,)})
 
     def test_duplicate_target_keeps_strongest_technique(self):
-        # match_token lists the target under both techniques, strongest
-        # first; the state pool keeps only the abbreviation.
+        # The abbreviation target is one edit away too: the step keeps only
+        # the abbreviation, and so does the annotation.
         trie = build_trie({"abcdef": "X00"})
         table = AbbreviationTable.build({"abcdee": "abcdef"})
         target = trie.root.children["abcdef"]
-        matches = match_token("abcdee", trie.root, table, 1)
-        assert matches == [(MatchTechnique.ABBREVIATION, target), (MatchTechnique.LEVENSHTEIN, target)]
+        assert reference_match_token("abcdee", trie.root, table, 1, 5) == [(A, target), (L, target)]
+        assert advance_states({trie.root: ()}, "abcdee", abbrevs=table, max_dist=1) == {target: (A,)}
         (ann,) = annotate_line("abcdee", trie, abbrevs=table, max_dist=1)
-        assert (ann.code, ann.techniques) == ("X00", (MatchTechnique.ABBREVIATION,))
+        assert (ann.code, ann.techniques) == ("X00", (A,))
 
     def test_multi_token_abbreviation_walks_whole_expansion(self):
         trie = build_trie({"accident vasculaire cerebral": "I64"})
-        matches = match_token("avc", trie.root, load_abbreviations(), 1)
-        assert len(matches) == 1
-        assert matches[0].technique is MatchTechnique.ABBREVIATION
-        assert matches[0].target_node.terminal.code == "I64"
+        ((target, trail),) = advance_states({trie.root: ()}, "avc", abbrevs=load_abbreviations(), max_dist=1).items()
+        assert trail == (A,)
+        assert target.terminal.code == "I64"
 
     def test_targets_confined_to_current_position(self):
         trie = heart_trie()
@@ -208,23 +204,28 @@ class TestMatchToken:
             near = set(node.children.values())
             near.update(g for c in node.children.values() for g in c.children.values())
             for probe in ("ins", "insuffisance", "cardiaqu", "respiratoire", "aigue"):
-                for m in match_token(probe, node, table, 1):
-                    assert m.target_node in near
+                for target in advance_states({node: ()}, probe, abbrevs=table, max_dist=1):
+                    assert target in near
 
 
 def composed_pairs(trie, probe):
     """(first, second) token pairs a composed-word match of *probe* reaches, from any node."""
     pairs = set()
     for node in iter_nodes(trie):
-        for m in match_token(probe, node, max_dist=1):
-            if m.technique is MatchTechnique.BIGRAM_LEVENSHTEIN:
-                first = next(t for t, c in node.children.items() if m.target_node in c.children.values())
-                pairs.add((first, m.target_node.token))
+        for target, trail in advance_states({node: ()}, probe, max_dist=1).items():
+            if trail == (B,):
+                pairs.update(
+                    (first, second)
+                    for first, child in node.children.items()
+                    for second, grandchild in child.children.items()
+                    if grandchild is target
+                )
     return pairs
 
 
 class TestBigramIndex:
-    """Composed-word (bigram) candidates are the trie's own parent->child edges."""
+    """Composed-word (bigram) candidates are the trie's own parent->child
+    edges: no index of pairs, just the pool step from each node."""
 
     def test_contains_exactly_consecutive_pairs(self):
         trie = heart_trie()
@@ -243,13 +244,12 @@ class TestBigramIndex:
 
     def test_keys_are_concatenations(self):
         trie = heart_trie()
-        (match,) = match_token("insuffisancecardiaque", trie.root, max_dist=1)
-        assert match.technique is MatchTechnique.BIGRAM_LEVENSHTEIN
-        assert match.target_node is lookup_path(trie, ("insuffisance", "cardiaque"))
+        got = advance_states({trie.root: ()}, "insuffisancecardiaque", max_dist=1)
+        assert list(got.items()) == [(lookup_path(trie, ("insuffisance", "cardiaque")), (B,))]
 
     def test_empty_trie(self):
         trie = DictionaryTrie().freeze()
-        assert match_token("insuffisancecardiaque", trie.root, max_dist=1) == []
+        assert advance_states({trie.root: ()}, "insuffisancecardiaque", max_dist=1) == {}
         assert composed_pairs(trie, "insuffisancecardiaque") == set()
 
     def test_single_token_term_has_no_bigrams(self):
@@ -263,8 +263,10 @@ class TestBigramIndex:
         trie = build_trie({"a aigue cardiaque": "C1", "b aigue cardiaque": "C2"})
         assert composed_pairs(trie, "aiguecardiaque") == {("aigue", "cardiaque")}
         for head in ("a", "b"):
-            (match,) = match_token("aiguecardiaque", trie.root.children[head], max_dist=1)
-            assert match.target_node.terminal.label == f"{head} aigue cardiaque"
+            got = advance_states({trie.root.children[head]: ()}, "aiguecardiaque", max_dist=1)
+            ((target, trail),) = got.items()
+            assert trail == (B,)
+            assert target.terminal.label == f"{head} aigue cardiaque"
 
 
 def one_edit(draw, token):
@@ -303,17 +305,18 @@ def fuzzy_cases(draw):
     return trie, table, probes, draw(st.integers(1, 6))
 
 
-def assert_matches_reference(trie, table, path, node, probe, max_dist, fuzzy_min_len, paths):
-    """match_token from *node* equals the brute-force reference, in the promised order."""
-    got = match_token(probe, node, table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len)
-    as_list = [(m.technique, paths[id(m.target_node)]) for m in got]
-    assert len(set(as_list)) == len(got)
-    assert set(as_list) == reference_match_token(probe, trie, path, table, max_dist, fuzzy_min_len)
+def assert_matches_reference(table, node, probe, max_dist, fuzzy_min_len, paths):
+    """A pool step from *node* alone equals the brute-force fork list, each
+    node at its first cheapest fork, trails and order included; *paths*
+    maps each node to its token path."""
+    pool = {node: ()}
+    got = list(advance_states(pool, probe, abbrevs=table, max_dist=max_dist, fuzzy_min_len=fuzzy_min_len).items())
+    assert got == first_cheapest_forks(pool, probe, table, max_dist, fuzzy_min_len)
     # The order is part of the result: select_longest keeps the first of equal keys.
-    techniques = [technique for technique, _ in as_list]
+    techniques = [technique for _, (technique,) in got]
     assert techniques == sorted(techniques)
-    for fuzzy in (MatchTechnique.LEVENSHTEIN, MatchTechnique.BIGRAM_LEVENSHTEIN):
-        targets = [target for technique, target in as_list if technique is fuzzy]
+    for fuzzy in (L, B):
+        targets = [paths[target] for target, trail in got if trail == (fuzzy,)]
         assert targets == sorted(targets)
 
 
@@ -327,15 +330,14 @@ def node_paths(trie):
 
 @given(fuzzy_cases())
 @settings(max_examples=120, deadline=None)
-def test_match_token_equals_brute_force_reference(case):
+def test_step_equals_brute_force_reference(case):
     trie, table, probes, fuzzy_min_len = case
-    nodes = node_paths(trie)
-    paths = {id(node): path for path, node in nodes}
+    paths = {node: path for path, node in node_paths(trie)}
     # At max_dist 3 the band is wider than the 2-5-letter tokens.
     for max_dist in (0, 1, 2, 3):
-        for path, node in nodes:
+        for node in paths:
             for probe in probes:
-                assert_matches_reference(trie, table, path, node, probe, max_dist, fuzzy_min_len, paths)
+                assert_matches_reference(table, node, probe, max_dist, fuzzy_min_len, paths)
 
 
 @st.composite
@@ -358,19 +360,18 @@ def exact_cases(draw):
 
 @given(exact_cases())
 @settings(max_examples=150, deadline=None)
-def test_exact_match_token_equals_brute_force_reference(case):
-    # max_dist 0: a token without expansions lists at most its perfect child;
-    # a short form lists its expansion targets too, whether or not it is a child.
+def test_exact_step_equals_brute_force_reference(case):
+    # max_dist 0: a token without expansions reaches at most its perfect child;
+    # a short form reaches its expansion targets too, whether or not it is a child.
     trie, table, probes = case
-    nodes = node_paths(trie)
-    paths = {id(node): path for path, node in nodes}
-    for path, node in nodes:
+    paths = {node: path for path, node in node_paths(trie)}
+    for node in paths:
         for probe in probes:
-            assert_matches_reference(trie, table, path, node, probe, 0, 1, paths)
+            assert_matches_reference(table, node, probe, 0, 1, paths)
             if not table.entries.get(probe, ()):
                 child = node.children.get(probe)
-                got = match_token(probe, node, table, max_dist=0)
-                assert got == ([] if child is None else [(MatchTechnique.PERFECT, child)])
+                got = advance_states({node: ()}, probe, abbrevs=table, max_dist=0)
+                assert got == ({} if child is None else {child: (P,)})
 
 
 def wide_trie(rnd, alphabet):
@@ -440,15 +441,13 @@ def test_descent_over_wide_nodes_equals_brute_force_reference(alphabet, rnd):
     # More siblings than _LEAF_SIZE: shared prefix states, splits, jumps in runs of
     # every size, and flat runs at the walk's start or reached by a split.
     trie, wide, probes = wide_trie(rnd, alphabet)
-    paths = {id(node): path for path, node in node_paths(trie)}
+    paths = {node: path for path, node in node_paths(trie)}
     fuzzy_min_len = rnd.choice((1, 4))
     for path in ((), (wide,)):
         node = lookup_path(trie, path)
         for probe in probes:
             for max_dist in (1, 2, 3):
-                assert_matches_reference(
-                    trie, EMPTY_ABBREVIATIONS, path, node, probe, max_dist, fuzzy_min_len, paths
-                )
+                assert_matches_reference(EMPTY_ABBREVIATIONS, node, probe, max_dist, fuzzy_min_len, paths)
 
 
 def short_grandchildren_trie():
@@ -466,12 +465,12 @@ def test_composed_length_window_edge_equals_brute_force_reference():
     # of that edge occur: composed matches whose grandchild has exactly
     # reach - d letters, and children whose shortest grandchild has one more.
     trie = short_grandchildren_trie()
-    paths = {id(node): path for path, node in node_paths(trie)}
+    paths = {node: path for path, node in node_paths(trie)}
     probes = ["".join(p) for r in range(1, 6) for p in itertools.product("abx", repeat=r)]
     at_edge = past_edge = 0
     for max_dist in (1, 2):
         for probe in probes:
-            assert_matches_reference(trie, EMPTY_ABBREVIATIONS, (), trie.root, probe, max_dist, 1, paths)
+            assert_matches_reference(EMPTY_ABBREVIATIONS, trie.root, probe, max_dist, 1, paths)
             for first, mid in trie.root.children.items():
                 room = len(probe) + max_dist - len(first)
                 past_edge += min(map(len, mid.sorted_tokens)) == room + 1
@@ -492,17 +491,14 @@ def test_child_with_only_long_grandchildren_starts_no_walk(monkeypatch):
 
     monkeypatch.setattr(matcher, "_walk", counting)
     # "ab" and "abz" are one edit from "abx"; "cdef" and "cdeg" leave room for none.
-    got = match_token("abx", trie.root, max_dist=1, fuzzy_min_len=1)
-    assert [(m.technique, m.target_node.token) for m in got] == [
-        (MatchTechnique.LEVENSHTEIN, "ab"),
-        (MatchTechnique.LEVENSHTEIN, "abz"),
-    ]
-    assert walked == [trie.root.sorted_tokens]
+    # The step scans the root's children itself: it has fewer than _LEAF_SIZE.
+    got = advance_states({trie.root: ()}, "abx", max_dist=1, fuzzy_min_len=1)
+    assert list(got.items()) == [(trie.root.children["ab"], (L,)), (trie.root.children["abz"], (L,))]
+    assert walked == []
     # A probe long enough for "cdef" and "cdeg" walks into them.
-    walked.clear()
-    got = match_token("abcde", trie.root, max_dist=1, fuzzy_min_len=1)
-    assert [m.target_node.terminal.code for m in got] == ["C1", "C2"]
-    assert walked == [trie.root.sorted_tokens, ("cdef", "cdeg")]
+    got = advance_states({trie.root: ()}, "abcde", max_dist=1, fuzzy_min_len=1)
+    assert [node.terminal.code for node in got] == ["C1", "C2"]
+    assert walked == [("cdef", "cdeg")]
 
 
 class CountingRow(dict):
@@ -533,11 +529,9 @@ def test_descent_extends_fewer_rows_than_eligible_children(monkeypatch):
     probe = min(w for w in words if len(w) == 6)[:-1] + "x"  # one substitution away
     eligible = [w for w in words if len(w) <= len(probe) + 1]
     steps, got = count_steps(
-        monkeypatch, 1, lambda: match_token(probe, trie.root, max_dist=1, fuzzy_min_len=1)
+        monkeypatch, 1, lambda: advance_states({trie.root: ()}, probe, max_dist=1, fuzzy_min_len=1)
     )
-    assert {(m.technique, (m.target_node.token,)) for m in got} == reference_match_token(
-        probe, trie, (), EMPTY_ABBREVIATIONS, 1, 1
-    )
+    assert list(got.items()) == first_cheapest_forks({trie.root: ()}, probe, EMPTY_ABBREVIATIONS, 1, 1)
     assert got
     # A flat scan takes one automaton step per length-eligible child at least.
     assert len(eligible) > 200

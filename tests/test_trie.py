@@ -60,9 +60,9 @@ class TestInsert:
         class CountingNode(TrieNode):
             __slots__ = ()
 
-            def __init__(self, token=None):
+            def __init__(self):
                 built.append(self)
-                super().__init__(token)
+                super().__init__()
 
         monkeypatch.setattr(trie_module, "TrieNode", CountingNode)
         trie = DictionaryTrie()  # the root is one
